@@ -21,8 +21,8 @@ from .config import (
 )
 from .fitting import DriverRecord, DriverReport, FitResult, LevelFitter
 from .game import MixedStrategy, best_response_set, mixed_utility
-from .gp import ModelCache, Policy, PolicyPrediction, StateGP, fit_state_gp, shift_normalize
-from .kernels import KernelBank, lmc_covariance, matern32
+from .gp import LMCParams, ModelCache, Policy, PolicyPrediction, StateGP, fit_state_gp
+from .gp import lmc_covariance, shift_normalize
 from .levelk import PolicySet, train_hierarchy
 
 __version__ = "0.1.0"
@@ -36,9 +36,9 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "GPConfig",
-    "KernelBank",
     "KernelEntryConfig",
     "LevelFitter",
+    "LMCParams",
     "MasterConfig",
     "MixedStrategy",
     "ModelCache",
@@ -53,7 +53,6 @@ __all__ = [
     "best_response_set",
     "fit_state_gp",
     "lmc_covariance",
-    "matern32",
     "mixed_utility",
     "shift_normalize",
     "train_hierarchy",

@@ -18,6 +18,8 @@ from .errors import ConfigurationError
 
 DEFAULT_MATERN_LENGTH_SCALES = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
 MAX_COREGIONAL_RANK = 7
+# Cap of the jitter escalation in the GP's Cholesky factorizations.
+MAX_JITTER = 1e-2
 
 
 @dataclass(frozen=True)
@@ -76,19 +78,18 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class GPConfig:
-    """Posterior numerics: training levels and jitter escalation."""
+    """Posterior numerics: training levels and the starting jitter."""
 
     levels: tuple[float, ...] = (0.0, 1.0, 2.0, 3.0)
     jitter: float = 1e-6
-    max_jitter: float = 1e-2
 
     def __post_init__(self):
         if len(self.levels) < 2:
             raise ConfigurationError("need at least two training levels")
         if sorted(set(self.levels)) != sorted(self.levels):
             raise ConfigurationError("training levels must be distinct")
-        if not 0 < self.jitter <= self.max_jitter:
-            raise ConfigurationError("require 0 < jitter <= max_jitter")
+        if not 0 < self.jitter <= MAX_JITTER:
+            raise ConfigurationError(f"require 0 < jitter <= {MAX_JITTER}")
 
 
 @dataclass(frozen=True)
@@ -270,6 +271,10 @@ class MasterConfig:
     fit: FitConfig = field(default_factory=FitConfig)
     data: DataConfig = field(default_factory=DataConfig)
     synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
+
+    def __post_init__(self):
+        if len(self.gp.levels) != self.rl.max_level + 1:
+            raise ConfigurationError("need one gp.levels entry per level 0..rl.max_level")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "MasterConfig":

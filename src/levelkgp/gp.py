@@ -9,9 +9,22 @@ sum to one exactly at every level, and the modeled process has zero
 prior mean.  The observed vectors are treated as noise-free up to the
 stabilizing jitter.
 
-Hyperparameters (per-entry variance, coregionalization weights, kappa)
-are chosen by maximizing the log marginal likelihood with L-BFGS-B from
-several restarts, using the analytic gradient.
+The multi-output covariance is a linear model of coregionalization
+
+    Sigma(X, X') = sum_z var_z B_z (x) k_z(X, X')
+
+where (x) is the Kronecker product, each k_z is a unit-variance
+Matern-3/2 kernel on the reasoning-level axis and each
+B_z = W_z W_z^T + diag(kappa_z) couples the outputs.  The bias entry is
+the entry with an infinite length scale, whose kernel is exactly 1.
+Blocks are laid out output-major: row index d*N + i refers to output d
+at input i.  ``lmc_covariance`` is the one routine that assembles
+Sigma, for the training objective and for the posterior alike.
+
+The bank is fixed in shape (one bias entry plus Matern-3/2 entries on a
+length-scale grid); only the variances and coregionalization weights
+and kappa are learned, by maximizing the log marginal likelihood with
+L-BFGS-B from several restarts, using the analytic gradient.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ import json
 import logging
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -29,6 +42,7 @@ from scipy.linalg import cho_solve
 from scipy.optimize import minimize
 
 from .config import (
+    MAX_JITTER,
     GPConfig,
     KernelEntryConfig,
     OptimizerConfig,
@@ -36,16 +50,18 @@ from .config import (
     resolve_rank,
 )
 from .errors import (
+    ConfigurationError,
     DegeneratePolicyError,
     InputError,
     MissingStateError,
     NumericalError,
+    ParameterError,
 )
-from .kernels import KernelBank, build_bank, jittered_cholesky, lmc_covariance
 
 logger = logging.getLogger(__name__)
 
 LOG_2PI = math.log(2.0 * math.pi)
+SQRT3 = math.sqrt(3.0)
 
 
 class Policy:
@@ -137,6 +153,143 @@ def gaussian_log_marginal(chol: np.ndarray, target: np.ndarray) -> float:
     )
 
 
+# --- LMC covariance -----------------------------------------------------------
+
+
+def unit_grams(x, y, length_scales) -> np.ndarray:
+    """Unit-variance Matern-3/2 grams, shape (Z, len(x), len(y)).
+
+    An infinite length scale gives s = 0 and hence the constant bias
+    kernel, exactly 1.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    scales = np.asarray(length_scales, dtype=float).ravel()
+    s = SQRT3 * np.abs(x[:, None] - y[None, :]) / scales[:, None, None]
+    return (1.0 + s) * np.exp(-s)
+
+
+def lmc_covariance(grams, variances, coregs, out: np.ndarray) -> np.ndarray:
+    """Add sum_z var_z kron(B_z, k_z) into ``out`` and return it."""
+    for var, coreg, gram in zip(variances, coregs, grams):
+        out += var * np.kron(coreg, gram)
+    return out
+
+
+def _coreg(weights: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """B = W W^T + diag(kappa), symmetric PSD for kappa >= 0."""
+    return weights @ weights.T + np.diag(kappa)
+
+
+def jittered_cholesky(
+    matrix: np.ndarray, jitter: float = 1e-6, max_jitter: float = MAX_JITTER
+) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of matrix + jitter*I, escalating jitter by 10x.
+
+    Returns the factor and the jitter that succeeded.  Raises
+    NumericalError once the jitter would exceed max_jitter.
+    """
+    if not 0 < jitter <= max_jitter:
+        raise ParameterError("require 0 < jitter <= max_jitter")
+    m = np.asarray(matrix, dtype=float)
+    eye = np.eye(m.shape[0])
+    level = jitter
+    while level <= max_jitter * (1 + 1e-12):
+        try:
+            return np.linalg.cholesky(m + level * eye), level
+        except np.linalg.LinAlgError:
+            level *= 10.0
+    raise NumericalError(
+        f"covariance not positive definite up to jitter {max_jitter}"
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class LMCParams:
+    """Hyperparameters of the LMC, one entry z per kernel of the bank.
+
+    ``variances`` (Z,), ``length_scales`` (Z,) with inf for the bias
+    entry, ``weights`` a tuple of W_z (D, R_z) and ``kappas`` (Z, D).
+    Validated on construction, so model files are checked on load; the
+    B_z are built once, into ``coregs`` (Z, D, D).
+    """
+
+    variances: np.ndarray
+    length_scales: np.ndarray
+    weights: tuple
+    kappas: np.ndarray
+    coregs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        variances = np.asarray(self.variances, dtype=float).ravel()
+        scales = np.asarray(self.length_scales, dtype=float).ravel()
+        weights = tuple(np.atleast_2d(np.asarray(w, dtype=float)) for w in self.weights)
+        kappas = [np.asarray(k, dtype=float).ravel() for k in self.kappas]
+        if not weights or not len(variances) == len(scales) == len(weights) == len(kappas):
+            raise ConfigurationError("need one variance, length scale, W and kappa per entry")
+        if not (np.all(variances > 0) and np.all(scales > 0)):
+            raise ParameterError(f"variances {variances}, length scales {scales}: need > 0")
+        if any(w.shape[0] != k.size for w, k in zip(weights, kappas)):
+            raise ParameterError("weights rows must match kappa size")
+        if len({k.size for k in kappas}) != 1:
+            raise ConfigurationError("inconsistent output dims in bank")
+        if any(np.any(k < 0) for k in kappas):
+            raise ParameterError("kappa entries must be non-negative")
+        if not all(np.all(np.isfinite(a)) for a in weights + tuple(kappas)):
+            raise ParameterError("coregionalization parameters must be finite")
+        object.__setattr__(self, "variances", variances)
+        object.__setattr__(self, "length_scales", scales)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "kappas", np.vstack(kappas))
+        coregs = np.stack([_coreg(w, k) for w, k in zip(weights, kappas)])
+        object.__setattr__(self, "coregs", coregs)
+
+    def covariance(self, x, y) -> np.ndarray:
+        """Full cross-covariance Sigma(x, y), output-major."""
+        grams = unit_grams(x, y, self.length_scales)
+        dim = self.kappas.shape[1]
+        out = np.zeros((dim * grams.shape[1], dim * grams.shape[2]))
+        return lmc_covariance(grams, self.variances, self.coregs, out)
+
+    @classmethod
+    def from_theta(
+        cls, theta: np.ndarray, entries: Sequence[KernelEntryConfig], dim: int
+    ) -> "LMCParams":
+        """The parameters at a point of the optimizer's flat vector."""
+        slots, _n_params = _layout(entries, dim)
+        variances, weights, raw_kappas = _unpack(np.asarray(theta, dtype=float), slots, dim)
+        kappas = [_softplus(raw_kappa) for raw_kappa in raw_kappas]
+        return cls(variances, _length_scales(entries), tuple(weights), kappas)
+
+    def to_dict(self) -> dict:
+        """The ``bank`` section of a version-1 model file."""
+        entries = []
+        for var, scale, w, k in zip(
+            self.variances, self.length_scales, self.weights, self.kappas
+        ):
+            spec = {"kind": "bias", "variance": float(var)}
+            if not math.isinf(scale):
+                spec = {"kind": "matern32", "variance": float(var), "length_scale": float(scale)}
+            entries.append({**spec, "weights": w.tolist(), "kappa": k.tolist()})
+        return {"entries": entries}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "LMCParams":
+        entries = doc["entries"]
+        for spec in entries:
+            if spec["kind"] not in ("bias", "matern32"):
+                raise ConfigurationError(f"unknown kernel kind {spec['kind']!r}")
+        return cls(
+            variances=[spec["variance"] for spec in entries],
+            length_scales=[
+                math.inf if spec["kind"] == "bias" else spec["length_scale"]
+                for spec in entries
+            ],
+            weights=tuple(spec["weights"] for spec in entries),
+            kappas=[spec["kappa"] for spec in entries],
+        )
+
+
 # --- parameter vector layout -------------------------------------------------
 #
 # Per bank entry z with rank R_z: [log_variance, W.ravel() (D*R_z), raw_kappa (D)]
@@ -156,6 +309,10 @@ def _softplus_inv(y):
     return y + np.log(-np.expm1(-y))
 
 
+def _length_scales(entries: Sequence[KernelEntryConfig]) -> np.ndarray:
+    return np.array([math.inf if cfg.kind == "bias" else cfg.length_scale for cfg in entries])
+
+
 def _layout(entries: Sequence[KernelEntryConfig], dim: int):
     slots = []
     offset = 0
@@ -168,40 +325,22 @@ def _layout(entries: Sequence[KernelEntryConfig], dim: int):
 
 
 def _unpack(theta: np.ndarray, slots, dim: int):
-    parts = []
+    """Per-entry variances, weights W and raw kappas."""
+    variances, weights, raw_kappas = [], [], []
     for _cfg, rank, offset, size in slots:
         chunk = theta[offset : offset + size]
-        log_var = chunk[0]
-        w = chunk[1 : 1 + dim * rank].reshape(dim, rank)
-        raw_kappa = chunk[1 + dim * rank :]
-        parts.append((float(log_var), w, raw_kappa))
-    return parts
-
-
-def _grams(entries, levels):
-    """Unit-variance gram matrices; fixed across optimizer iterations."""
-    x = np.asarray(levels, dtype=float).ravel()
-    mats = []
-    for cfg in entries:
-        if cfg.kind == "bias":
-            mats.append(np.ones((x.size, x.size)))
-        else:
-            s = math.sqrt(3.0) * np.abs(x[:, None] - x[None, :]) / cfg.length_scale
-            mats.append((1.0 + s) * np.exp(-s))
-    return mats
+        variances.append(math.exp(chunk[0]))
+        weights.append(chunk[1 : 1 + dim * rank].reshape(dim, rank))
+        raw_kappas.append(chunk[1 + dim * rank :])
+    return variances, weights, raw_kappas
 
 
 def _neg_lml_and_grad(theta, slots, grams, target, dim, jitter):
-    n = grams[0].shape[0]
+    n = grams.shape[1]
     m = dim * n
-    parts = _unpack(theta, slots, dim)
-    sigma = jitter * np.eye(m)
-    coreg = []
-    for (log_var, w, raw_kappa), gram in zip(parts, grams):
-        var = math.exp(log_var)
-        b = w @ w.T + np.diag(_softplus(raw_kappa))
-        coreg.append((var, w, raw_kappa, b))
-        sigma += var * np.kron(b, gram)
+    variances, weights, raw_kappas = _unpack(theta, slots, dim)
+    coregs = [_coreg(w, _softplus(rk)) for w, rk in zip(weights, raw_kappas)]
+    sigma = lmc_covariance(grams, variances, coregs, jitter * np.eye(m))
     try:
         chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
@@ -217,8 +356,8 @@ def _neg_lml_and_grad(theta, slots, grams, target, dim, jitter):
     gbar = np.outer(alpha, alpha) - sigma_inv
     g4 = gbar.reshape(dim, n, dim, n)
     grad = np.zeros_like(theta)
-    for (_cfg, rank, offset, size), (var, w, raw_kappa, b), gram in zip(
-        slots, coreg, grams
+    for (_cfg, rank, offset, size), var, w, raw_kappa, b, gram in zip(
+        slots, variances, weights, raw_kappas, coregs, grams
     ):
         scaled = var * gram
         mb = 0.5 * np.einsum("aibj,ij->ab", g4, scaled)
@@ -250,16 +389,6 @@ def _bounds(slots, dim, opt: OptimizerConfig):
         bounds += [(-opt.weight_bound, opt.weight_bound)] * (dim * rank)
         bounds += [opt.raw_kappa_bounds] * dim
     return bounds
-
-
-def _bank_from_theta(theta, slots, dim) -> KernelBank:
-    entries = [cfg for cfg, _r, _o, _s in slots]
-    variances, weight_list, kappa_list = [], [], []
-    for log_var, w, raw_kappa in _unpack(theta, slots, dim):
-        variances.append(math.exp(log_var))
-        weight_list.append(w)
-        kappa_list.append(_softplus(raw_kappa))
-    return build_bank(entries, dim, variances, weight_list, kappa_list)
 
 
 def _validate_training_set(levels, policies):
@@ -309,14 +438,14 @@ class StateGP:
         self,
         levels: np.ndarray,
         policies: np.ndarray,
-        bank: KernelBank,
+        params: LMCParams,
         jitter_used: float,
         state_id: Optional[int] = None,
         lml: Optional[float] = None,
     ):
         self.levels = np.asarray(levels, dtype=float).ravel()
         self.policies = np.asarray(policies, dtype=float)
-        self.bank = bank
+        self.params = params
         self.state_id = state_id
         self.action_count = self.policies.shape[1]
         self.basis = zero_sum_basis(self.action_count)
@@ -324,9 +453,9 @@ class StateGP:
         # residual coordinates, output-major flattening
         resid = (self.policies - self.prior_mean) @ self.basis
         self._target = resid.T.ravel()
-        sigma = lmc_covariance(self.levels, self.levels, bank)
+        sigma = params.covariance(self.levels, self.levels)
         self.chol, self.jitter_used = jittered_cholesky(
-            sigma, jitter_used, max(jitter_used, 1e-2)
+            sigma, jitter_used, max(jitter_used, MAX_JITTER)
         )
         self._alpha = cho_solve((self.chol, True), self._target)
         self.lml = (
@@ -335,15 +464,12 @@ class StateGP:
 
     # -- queries --------------------------------------------------------
 
-    def _cross(self, query: np.ndarray) -> np.ndarray:
-        return lmc_covariance(query, self.levels, self.bank)
-
     def predict_mean(self, levels) -> np.ndarray:
         """Raw posterior means, one row per query level, shape (m, A)."""
         q = np.atleast_1d(np.asarray(levels, dtype=float)).ravel()
         if not np.all(np.isfinite(q)):
             raise InputError("query levels must be finite")
-        star = self._cross(q)
+        star = self.params.covariance(q, self.levels)
         dim = self.action_count - 1
         coords = (star @ self._alpha).reshape(dim, q.size).T
         return self.prior_mean[None, :] + coords @ self.basis.T
@@ -353,11 +479,11 @@ class StateGP:
         q = float(level)
         if not math.isfinite(q):
             raise InputError("query level must be finite")
-        star = self._cross(np.array([q]))
+        star = self.params.covariance([q], self.levels)
         dim = self.action_count - 1
         coords = star @ self._alpha
         mean = self.prior_mean + self.basis @ coords
-        prior = lmc_covariance(np.array([q]), np.array([q]), self.bank)
+        prior = self.params.covariance([q], [q])
         solved = cho_solve((self.chol, True), star.T)
         cov_coords = prior - star @ solved
         cov = self.basis @ cov_coords @ self.basis.T
@@ -375,7 +501,7 @@ class StateGP:
             "state_id": self.state_id,
             "levels": self.levels.tolist(),
             "policies": self.policies.tolist(),
-            "bank": self.bank.to_dict(),
+            "bank": self.params.to_dict(),
             "jitter_used": self.jitter_used,
             "lml": self.lml,
         }
@@ -387,7 +513,7 @@ class StateGP:
         return cls(
             levels=np.asarray(doc["levels"], dtype=float),
             policies=np.asarray(doc["policies"], dtype=float),
-            bank=KernelBank.from_dict(doc["bank"]),
+            params=LMCParams.from_dict(doc["bank"]),
             jitter_used=float(doc["jitter_used"]),
             state_id=doc["state_id"],
             lml=float(doc["lml"]),
@@ -401,16 +527,6 @@ class StateGP:
     def load(cls, path: str | Path) -> "StateGP":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-def log_marginal_likelihood(levels, policies, bank: KernelBank, jitter: float = 1e-6) -> float:
-    """LML of the residual coordinates under the given bank."""
-    x, y = _validate_training_set(levels, policies)
-    resid = (y - 1.0 / y.shape[1]) @ zero_sum_basis(y.shape[1])
-    target = resid.T.ravel()
-    sigma = lmc_covariance(x, x, bank)
-    chol, _ = jittered_cholesky(sigma, jitter, max(jitter, 1e-2))
-    return gaussian_log_marginal(chol, target)
 
 
 def fit_state_gp(
@@ -438,7 +554,7 @@ def fit_state_gp(
     target = resid.T.ravel()
 
     slots, _n_params = _layout(entries, dim)
-    grams = _grams(entries, x)
+    grams = unit_grams(x, x, _length_scales(entries))
     bounds = _bounds(slots, dim, opt)
     seed_key = state_id if state_id is not None else 0
     rng = np.random.default_rng(np.random.SeedSequence([opt.seed, seed_key]))
@@ -461,11 +577,10 @@ def fit_state_gp(
             best_theta = result.x
     if best_theta is None:
         raise NumericalError("all optimizer restarts failed")
-    bank = _bank_from_theta(best_theta, slots, dim)
     return StateGP(
         levels=x,
         policies=y,
-        bank=bank,
+        params=LMCParams.from_theta(best_theta, entries, dim),
         jitter_used=gpc.jitter,
         state_id=state_id,
         lml=-best_nll,

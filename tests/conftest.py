@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from levelkgp.config import default_bank_entries, resolve_rank
+from levelkgp.gp import LMCParams, _length_scales
+
 settings.register_profile(
     "suite",
     deadline=None,
@@ -19,3 +22,46 @@ def rng():
 def random_policies(rng, n_levels=4, n_actions=5, concentration=0.6):
     """Dirichlet rows: generic, strictly positive, distinct policies."""
     return rng.dirichlet(np.full(n_actions, concentration), size=n_levels)
+
+
+def default_bank(output_dim, rng=None):
+    """Unit-variance default bank with small random coregionalization weights."""
+    rng = rng or np.random.default_rng(0)
+    entries = default_bank_entries()
+    return LMCParams(
+        variances=np.ones(len(entries)),
+        length_scales=_length_scales(entries),
+        weights=tuple(
+            0.1 * rng.standard_normal((output_dim, resolve_rank(e.rank, output_dim)))
+            for e in entries
+        ),
+        kappas=np.full((len(entries), output_dim), 0.1),
+    )
+
+
+# A hand-written version-1 model file: 3 actions, a bias and a Matern entry.
+V1_MODEL = {
+    "version": 1,
+    "state_id": 17,
+    "levels": [0.0, 1.0, 2.0, 3.0],
+    "policies": [
+        [0.5, 0.25, 0.25],
+        [0.25, 0.5, 0.25],
+        [0.2, 0.3, 0.5],
+        [0.6, 0.3, 0.1],
+    ],
+    "bank": {
+        "entries": [
+            {"kind": "bias", "variance": 0.5, "weights": [[0.1], [-0.2]], "kappa": [0.05, 0.1]},
+            {
+                "kind": "matern32",
+                "variance": 1.5,
+                "length_scale": 0.75,
+                "weights": [[0.3], [0.2]],
+                "kappa": [0.2, 0.01],
+            },
+        ]
+    },
+    "jitter_used": 1e-06,
+    "lml": -3.25,
+}

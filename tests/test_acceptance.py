@@ -36,8 +36,15 @@ from levelkgp.game import (
     mixed_utility,
     simplex_grid,
 )
-from levelkgp.gp import ModelCache, Policy, fit_state_gp, shift_normalize
-from levelkgp.kernels import build_bank, jittered_cholesky, lmc_covariance
+from levelkgp.gp import (
+    LMCParams,
+    ModelCache,
+    Policy,
+    _length_scales,
+    fit_state_gp,
+    jittered_cholesky,
+    shift_normalize,
+)
 from levelkgp.levelk import train_hierarchy
 
 LEVELS = (0.0, 1.0, 2.0, 3.0)
@@ -271,8 +278,8 @@ def test_acceptance_7_kernel_validity():
             for e in entries
         ]
         kappas = [10 ** rng.uniform(-2.0, -0.3, size=dim) for _ in entries]
-        bank = build_bank(entries, dim, variances, weights, kappas)
-        sigma = lmc_covariance(levels, levels, bank)
+        bank = LMCParams(variances, _length_scales(entries), tuple(weights), kappas)
+        sigma = bank.covariance(levels, levels)
         if float(np.max(np.abs(sigma - sigma.T))) <= 1e-10:
             symmetric += 1
         try:

@@ -178,6 +178,13 @@ def test_master_config_rejects_unknown_keys(tmp_path):
         MasterConfig.from_json(path)
 
 
+def test_master_config_rejects_levels_not_matching_max_level(tmp_path):
+    path = tmp_path / "levels.json"
+    path.write_text(json.dumps({"rl": {"max_level": 4}}))
+    with pytest.raises(ConfigurationError, match="rl.max_level"):
+        MasterConfig.from_json(path)
+
+
 def test_main_surfaces_config_errors(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"nope": True}))

@@ -18,19 +18,19 @@ from levelkgp.gp import (
     ModelCache,
     Policy,
     StateGP,
-    _grams,
     _initial_theta,
     _layout,
+    _length_scales,
     _neg_lml_and_grad,
     fit_state_gp,
     gaussian_log_marginal,
-    log_marginal_likelihood,
+    jittered_cholesky,
     shift_normalize,
+    unit_grams,
     zero_sum_basis,
 )
-from levelkgp.kernels import default_bank, lmc_covariance
 
-from conftest import random_policies
+from conftest import V1_MODEL, default_bank, random_policies
 
 LEVELS = np.array([0.0, 1.0, 2.0, 3.0])
 
@@ -148,7 +148,7 @@ def test_objective_gradient_matches_finite_differences(rng):
 
     entries = default_bank_entries()
     slots, n_params = _layout(entries, dim)
-    grams = _grams(entries, LEVELS)
+    grams = unit_grams(LEVELS, LEVELS, _length_scales(entries))
     theta = _initial_theta(slots, dim, rng, perturb=True)
     value, grad = _neg_lml_and_grad(theta, slots, grams, target, dim, 1e-6)
     eps = 1e-6
@@ -159,6 +159,13 @@ def test_objective_gradient_matches_finite_differences(rng):
         lo, _ = _neg_lml_and_grad(theta - bump, slots, grams, target, dim, 1e-6)
         fd = (hi - lo) / (2 * eps)
         assert grad[idx] == pytest.approx(fd, abs=1e-5, rel=1e-4)
+
+
+def log_marginal_likelihood(levels, policies, params, jitter=1e-6):
+    """Oracle: LML of the residual coordinates under the given parameters."""
+    resid = (policies - 1.0 / policies.shape[1]) @ zero_sum_basis(policies.shape[1])
+    chol, _ = jittered_cholesky(params.covariance(levels, levels), jitter)
+    return gaussian_log_marginal(chol, resid.T.ravel())
 
 
 def test_fit_improves_marginal_likelihood(rng):
@@ -192,12 +199,12 @@ def test_predict_matches_dense_solve_oracle(rng):
     basis = zero_sum_basis(action_count)
     resid = (policies - 1.0 / action_count) @ basis
     target = resid.T.ravel()
-    sigma = lmc_covariance(LEVELS, LEVELS, model.bank) + model.jitter_used * np.eye(
+    sigma = model.params.covariance(LEVELS, LEVELS) + model.jitter_used * np.eye(
         target.size
     )
     for level in (0.37, 1.5, 2.93):
-        star = lmc_covariance([level], LEVELS, model.bank)
-        prior = lmc_covariance([level], [level], model.bank)
+        star = model.params.covariance([level], LEVELS)
+        prior = model.params.covariance([level], [level])
         mean_coords = star @ np.linalg.solve(sigma, target)
         cov_coords = prior - star @ np.linalg.solve(sigma, star.T)
         expected_mean = 1.0 / action_count + basis @ mean_coords
@@ -286,6 +293,15 @@ def test_serialization_round_trip_preserves_predictions(rng, tmp_path):
     assert np.allclose(model.predict_mean(grid), loaded.predict_mean(grid), atol=1e-12)
     assert loaded.state_id == 42
     assert loaded.jitter_used == model.jitter_used
+
+
+def test_hand_written_v1_model_loads_and_writes_back_unchanged(tmp_path):
+    path = tmp_path / "state_17.json"
+    path.write_text(json.dumps(V1_MODEL))
+    model = StateGP.load(path)
+    assert model.to_dict() == V1_MODEL
+    training = np.array(V1_MODEL["policies"])
+    assert np.abs(model.predict_mean(V1_MODEL["levels"]) - training).max() <= 1e-3
 
 
 def test_serialization_rejects_unknown_version():

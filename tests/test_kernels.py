@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,60 +6,83 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from levelkgp import gp
 from levelkgp.config import default_bank_entries, resolve_rank
 from levelkgp.errors import ConfigurationError, NumericalError, ParameterError
-from levelkgp.kernels import (
-    BiasKernel,
-    CoregionalizationMatrix,
-    KernelBank,
-    Matern32Kernel,
-    default_bank,
+from levelkgp.gp import (
+    LMCParams,
+    _initial_theta,
+    _layout,
+    _length_scales,
+    _neg_lml_and_grad,
     jittered_cholesky,
-    lmc_covariance,
-    matern32,
+    unit_grams,
 )
 
+from conftest import V1_MODEL, default_bank, random_policies
+
 SQRT3 = math.sqrt(3.0)
+LEVELS = np.array([0.0, 1.0, 2.0, 3.0])
+
+
+def _single(variance, length_scale, weights=((0.0,),), kappa=(1.0,)):
+    """One-entry parameters; the defaults give B = [[1]], a scalar kernel."""
+    return LMCParams(
+        variances=[variance],
+        length_scales=[length_scale],
+        weights=(np.asarray(weights, dtype=float),),
+        kappas=[kappa],
+    )
+
+
+def _scalar(distance, variance, length_scale):
+    params = _single(variance, length_scale)
+    return float(params.covariance([distance], [0.0])[0, 0])
 
 
 def test_matern_at_zero_distance_is_variance():
-    assert matern32(0.0, 2.5, 0.7) == pytest.approx(2.5, abs=0)
+    assert _scalar(0.0, 2.5, 0.7) == pytest.approx(2.5, abs=0)
 
 
 def test_matern_unit_parameters_at_unit_distance():
     # (1 + sqrt(3)) * exp(-sqrt(3)), evaluated independently
     expected = (1 + SQRT3) * math.exp(-SQRT3)
     assert expected == pytest.approx(0.4833577245965077, abs=1e-12)
-    assert matern32(1.0, 1.0, 1.0) == pytest.approx(expected, abs=1e-12)
+    assert _scalar(1.0, 1.0, 1.0) == pytest.approx(expected, abs=1e-12)
 
 
 def test_matern_scaled_example():
-    assert matern32(2.0, 3.0, 1.0) == pytest.approx(0.4191940505769441, abs=1e-12)
-    assert matern32(0.5, 2.0, 0.25) == pytest.approx(0.27946270038462934, abs=1e-12)
+    assert _scalar(2.0, 3.0, 1.0) == pytest.approx(0.4191940505769441, abs=1e-12)
+    assert _scalar(0.5, 2.0, 0.25) == pytest.approx(0.27946270038462934, abs=1e-12)
 
 
 def test_matern_negative_distance_uses_absolute_value():
-    assert matern32(-1.3, 1.0, 0.5) == pytest.approx(matern32(1.3, 1.0, 0.5), abs=0)
+    assert _scalar(-1.3, 1.0, 0.5) == pytest.approx(_scalar(1.3, 1.0, 0.5), abs=0)
 
 
 @pytest.mark.parametrize("variance,length_scale", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
 def test_matern_rejects_bad_parameters(variance, length_scale):
     with pytest.raises(ParameterError):
-        matern32(1.0, variance, length_scale)
-    with pytest.raises(ParameterError):
-        Matern32Kernel(variance=variance, length_scale=length_scale)
+        _single(variance, length_scale)
 
 
 def test_bias_kernel_is_constant():
-    k = BiasKernel(variance=0.8)
-    g = k.gram([0.0, 1.0, 2.5], [1.0, 3.0])
+    g = _single(0.8, math.inf).covariance([0.0, 1.0, 2.5], [1.0, 3.0])
     assert g.shape == (3, 2)
     assert np.all(g == 0.8)
 
 
+def test_infinite_length_scale_gram_is_exactly_one():
+    x = np.array([0.0, 0.37, 1.0, 2.5, 3.0])
+    y = np.array([1.0, 3.0, 0.0])
+    assert np.array_equal(unit_grams(x, y, [math.inf]), np.ones((1, 5, 3)))
+    mixed = unit_grams(x, y, [math.inf, 0.5])
+    assert np.array_equal(mixed[0], np.ones((5, 3)))
+
+
 def test_bias_kernel_rejects_nonpositive_variance():
     with pytest.raises(ParameterError):
-        BiasKernel(variance=0.0)
+        _single(0.0, math.inf)
 
 
 @given(
@@ -68,42 +92,46 @@ def test_bias_kernel_rejects_nonpositive_variance():
 )
 def test_coregionalization_matrix_is_psd(dim, rank, seed):
     rng = np.random.default_rng(seed)
-    coreg = CoregionalizationMatrix(
+    params = _single(
+        1.0,
+        math.inf,
         weights=rng.standard_normal((dim, rank)),
         kappa=np.abs(rng.standard_normal(dim)),
     )
-    b = coreg.matrix
+    b = params.coregs[0]
     assert np.allclose(b, b.T)
     assert np.linalg.eigvalsh(b).min() >= -1e-10
 
 
 def test_coregionalization_rejects_negative_kappa():
     with pytest.raises(ParameterError):
-        CoregionalizationMatrix(weights=np.ones((2, 1)), kappa=np.array([0.1, -0.1]))
+        _single(1.0, math.inf, weights=np.ones((2, 1)), kappa=[0.1, -0.1])
 
 
 def test_coregionalization_rejects_shape_mismatch():
     with pytest.raises(ParameterError):
-        CoregionalizationMatrix(weights=np.ones((3, 1)), kappa=np.ones(2))
+        _single(1.0, math.inf, weights=np.ones((3, 1)), kappa=np.ones(2))
 
 
 def _random_bank(rng, dim, n_entries=3):
-    kernels = [BiasKernel(variance=float(rng.uniform(0.1, 2.0)))]
+    variances = [float(rng.uniform(0.1, 2.0))]
+    scales = [math.inf]
     for _ in range(n_entries - 1):
-        kernels.append(
-            Matern32Kernel(
-                variance=float(rng.uniform(0.1, 2.0)),
-                length_scale=float(rng.uniform(0.2, 2.0)),
-            )
-        )
-    coregs = [
-        CoregionalizationMatrix(
-            weights=rng.standard_normal((dim, 2)),
-            kappa=np.abs(rng.standard_normal(dim)),
-        )
-        for _ in kernels
-    ]
-    return KernelBank(kernels=tuple(kernels), coregs=tuple(coregs))
+        variances.append(float(rng.uniform(0.1, 2.0)))
+        scales.append(float(rng.uniform(0.2, 2.0)))
+    return LMCParams(
+        variances=variances,
+        length_scales=scales,
+        weights=tuple(rng.standard_normal((dim, 2)) for _ in scales),
+        kappas=[np.abs(rng.standard_normal(dim)) for _ in scales],
+    )
+
+
+def _kernel_oracle(variance, length_scale, x, y):
+    if math.isinf(length_scale):
+        return variance
+    s = SQRT3 * abs(x - y) / length_scale
+    return variance * (1.0 + s) * math.exp(-s)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -113,18 +141,20 @@ def test_lmc_covariance_matches_elementwise_oracle(seed):
     bank = _random_bank(rng, dim)
     x = np.sort(rng.uniform(0, 3, size=int(rng.integers(2, 4))))
     y = np.sort(rng.uniform(0, 3, size=int(rng.integers(2, 4))))
-    got = lmc_covariance(x, y, bank)
+    got = bank.covariance(x, y)
     # oracle: per-element sum over entries, output-major block layout
     expected = np.zeros((dim * x.size, dim * y.size))
-    for kern, coreg in zip(bank.kernels, bank.coregs):
-        b = coreg.matrix
+    for var, scale, w, kappa in zip(
+        bank.variances, bank.length_scales, bank.weights, bank.kappas
+    ):
+        b = w @ w.T + np.diag(kappa)
         for a in range(dim):
             for c in range(dim):
                 for i in range(x.size):
                     for j in range(y.size):
-                        expected[a * x.size + i, c * y.size + j] += (
-                            b[a, c] * kern.gram(x[i : i + 1], y[j : j + 1])[0, 0]
-                        )
+                        expected[a * x.size + i, c * y.size + j] += b[
+                            a, c
+                        ] * _kernel_oracle(var, scale, x[i], y[j])
     assert np.allclose(got, expected, atol=1e-12)
 
 
@@ -134,7 +164,7 @@ def test_lmc_covariance_transpose_symmetry(seed):
     bank = _random_bank(rng, 3)
     x = rng.uniform(0, 3, size=4)
     y = rng.uniform(0, 3, size=2)
-    assert np.allclose(lmc_covariance(x, y, bank), lmc_covariance(y, x, bank).T)
+    assert np.allclose(bank.covariance(x, y), bank.covariance(y, x).T)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -142,39 +172,61 @@ def test_lmc_self_covariance_symmetric_psd(seed):
     rng = np.random.default_rng(seed)
     bank = _random_bank(rng, 3)
     x = np.sort(rng.uniform(0, 3, size=4))
-    sigma = lmc_covariance(x, x, bank)
+    sigma = bank.covariance(x, x)
     assert np.allclose(sigma, sigma.T, atol=1e-12)
     assert np.linalg.eigvalsh(sigma).min() >= -1e-8
 
 
+def test_objective_covariance_matches_params_covariance(rng, monkeypatch):
+    policies = random_policies(rng)
+    dim = policies.shape[1] - 1
+    resid = (policies - 1.0 / policies.shape[1]) @ gp.zero_sum_basis(policies.shape[1])
+    entries = default_bank_entries()
+    slots, _n_params = _layout(entries, dim)
+    grams = unit_grams(LEVELS, LEVELS, _length_scales(entries))
+    theta = _initial_theta(slots, dim, rng, perturb=True)
+    real = gp.lmc_covariance
+    seen = []
+
+    def spy(*args):
+        seen.append(real(*args).copy())
+        return seen[-1]
+
+    monkeypatch.setattr(gp, "lmc_covariance", spy)
+    _neg_lml_and_grad(theta, slots, grams, resid.T.ravel(), dim, 1e-6)
+    monkeypatch.undo()
+    assert len(seen) == 1
+    params = LMCParams.from_theta(theta, entries, dim)
+    expected = params.covariance(LEVELS, LEVELS) + 1e-6 * np.eye(dim * LEVELS.size)
+    assert np.abs(seen[0] - expected).max() <= 1e-12
+
+
 def test_bank_requires_matching_dims():
-    k = (BiasKernel(1.0), BiasKernel(1.0))
-    c = (
-        CoregionalizationMatrix(np.ones((2, 1)), np.ones(2)),
-        CoregionalizationMatrix(np.ones((3, 1)), np.ones(3)),
-    )
     with pytest.raises(ConfigurationError):
-        KernelBank(kernels=k, coregs=c)
+        LMCParams(
+            variances=[1.0, 1.0],
+            length_scales=[math.inf, math.inf],
+            weights=(np.ones((2, 1)), np.ones((3, 1))),
+            kappas=[np.ones(2), np.ones(3)],
+        )
 
 
 def test_bank_requires_one_coreg_per_kernel():
     with pytest.raises(ConfigurationError):
-        KernelBank(
-            kernels=(BiasKernel(1.0),),
-            coregs=(
-                CoregionalizationMatrix(np.ones((2, 1)), np.ones(2)),
-                CoregionalizationMatrix(np.ones((2, 1)), np.ones(2)),
-            ),
+        LMCParams(
+            variances=[1.0],
+            length_scales=[math.inf],
+            weights=(np.ones((2, 1)), np.ones((2, 1))),
+            kappas=[np.ones(2), np.ones(2)],
         )
 
 
 def test_default_bank_shape():
     bank = default_bank(4)
-    assert bank.size == 7
-    assert bank.output_dim == 4
-    assert isinstance(bank.kernels[0], BiasKernel)
-    scales = [k.length_scale for k in bank.kernels[1:]]
-    assert scales == [0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
+    assert bank.variances.size == 7
+    assert bank.kappas.shape == (7, 4)
+    assert bank.length_scales[0] == math.inf
+    assert bank.length_scales[1:].tolist() == [0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
 
 
 def test_default_bank_entries_config():
@@ -194,9 +246,28 @@ def test_resolve_rank_defaults_to_min_dim_seven():
 def test_bank_serialization_round_trip(rng):
     bank = _random_bank(rng, 3)
     doc = bank.to_dict()
-    rebuilt = KernelBank.from_dict(doc)
+    rebuilt = LMCParams.from_dict(doc)
     x = np.array([0.0, 1.0, 2.0])
-    assert np.array_equal(lmc_covariance(x, x, bank), lmc_covariance(x, x, rebuilt))
+    assert np.array_equal(bank.covariance(x, x), rebuilt.covariance(x, x))
+    assert rebuilt.to_dict() == doc
+
+
+@pytest.mark.parametrize(
+    "field,value,error",
+    [
+        ("kind", "rbf", ConfigurationError),
+        ("variance", 0.0, ParameterError),
+        ("kappa", [0.2, -0.01], ParameterError),
+        ("weights", [[0.3], [0.2], [0.1]], ParameterError),
+        ("length_scale", -0.5, ParameterError),
+    ],
+)
+def test_bank_from_dict_rejects_bad_entries(field, value, error):
+    doc = copy.deepcopy(V1_MODEL["bank"])
+    LMCParams.from_dict(doc)
+    doc["entries"][1][field] = value
+    with pytest.raises(error):
+        LMCParams.from_dict(doc)
 
 
 def test_jittered_cholesky_returns_requested_jitter_on_psd():
