@@ -14,7 +14,6 @@ import argparse
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -204,27 +203,20 @@ def _select_states(policy_set: PolicySet, cfg: MasterConfig) -> list[int]:
 
 
 def _fit_models(
-    cfg: MasterConfig, policy_set: PolicySet, state_ids: Sequence[int], jobs: int
+    cfg: MasterConfig, policy_set: PolicySet, state_ids: Sequence[int]
 ) -> ModelCache:
     cache = ModelCache()
-
-    def fit_one(sid: int):
-        model = fit_state_gp(
-            cfg.gp.levels,
-            policy_set.discrete_policies(sid),
-            bank_entries=cfg.bank,
-            optimizer=cfg.optimizer,
-            gp_config=cfg.gp,
-            state_id=sid,
+    for sid in state_ids:
+        cache.put(
+            fit_state_gp(
+                cfg.gp.levels,
+                policy_set.discrete_policies(sid),
+                bank_entries=cfg.bank,
+                optimizer=cfg.optimizer,
+                gp_config=cfg.gp,
+                state_id=sid,
+            )
         )
-        cache.put(model)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(fit_one, state_ids))
-    else:
-        for sid in state_ids:
-            fit_one(sid)
     return cache
 
 
@@ -305,16 +297,14 @@ def _ingest_manifest(
 
 
 def _fit_all_drivers(
-    cfg: MasterConfig,
     records: dict[str, fitting.DriverRecord],
     fitter: fitting.LevelFitter,
-    jobs: int,
 ) -> tuple[list[fitting.DriverReport], list[fitting.DriverReport]]:
     continuous = []
     discrete = []
     for driver_id in sorted(records):
         record = records[driver_id]
-        continuous.append(fitter.compare_driver(record, jobs=jobs))
+        continuous.append(fitter.compare_driver(record))
         discrete.append(fitter.compare_driver_discrete(record))
     return continuous, discrete
 
@@ -330,8 +320,6 @@ def _load_master(args) -> MasterConfig:
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
     if args.out_dir is not None:
         overrides["out_dir"] = args.out_dir
     if overrides:
@@ -342,7 +330,6 @@ def _load_master(args) -> MasterConfig:
 def cfg_to_shallow_dict(cfg: MasterConfig) -> dict:
     return {
         "seed": cfg.seed,
-        "jobs": cfg.jobs,
         "out_dir": cfg.out_dir,
         "env": cfg.env,
         "rl": cfg.rl,
@@ -392,7 +379,7 @@ def cmd_build_gp(args) -> int:
             }
             cfg = MasterConfig.from_dict(synth)
         state_ids = _select_states(policy_set, cfg)
-    cache = _fit_models(cfg, policy_set, state_ids, cfg.jobs)
+    cache = _fit_models(cfg, policy_set, state_ids)
     model_dir = Path(args.model_dir) if args.model_dir else out_dir / "models"
     cache.save_dir(model_dir)
     print(json.dumps({"model_dir": str(model_dir), "n_models": len(cache)}))
@@ -431,7 +418,7 @@ def cmd_fit_drivers(args) -> int:
         args.records if args.records else out_dir / "records.json"
     )
     fitter = _make_fitter(cfg, policy_set, cache)
-    continuous, discrete = _fit_all_drivers(cfg, records, fitter, cfg.jobs)
+    continuous, discrete = _fit_all_drivers(records, fitter)
     cont_path = out_dir / "reports_continuous.json"
     disc_path = out_dir / "reports_discrete.json"
     fitting.save_reports(continuous, cont_path)
@@ -505,7 +492,7 @@ def cmd_pipeline(args) -> int:
         if args.no_train:
             return ModelCache.load_dir(model_dir)
         state_ids = _select_states(policy_set, cfg)
-        cache = _fit_models(cfg, policy_set, state_ids, cfg.jobs)
+        cache = _fit_models(cfg, policy_set, state_ids)
         cache.save_dir(model_dir)
         return cache
 
@@ -529,7 +516,7 @@ def cmd_pipeline(args) -> int:
 
     def stage_fit():
         fitter = _make_fitter(cfg, policy_set, cache)
-        continuous, discrete = _fit_all_drivers(cfg, records, fitter, cfg.jobs)
+        continuous, discrete = _fit_all_drivers(records, fitter)
         fitting.save_reports(continuous, out_dir / "reports_continuous.json")
         fitting.save_reports(discrete, out_dir / "reports_discrete.json")
         data_mod.save_records(records, out_dir / "records.json")
@@ -560,7 +547,10 @@ def cmd_pipeline(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="override config seed")
-    common.add_argument("--jobs", type=int, default=None, help="worker threads")
+    common.add_argument(
+        "--jobs", type=int, choices=[1], default=None,
+        help="accepts only 1; kept for compatibility, every run is single-threaded",
+    )
     common.add_argument("--out-dir", default=None, help="override output directory")
     common.add_argument("--config", default=None, help="master config JSON")
     common.add_argument(

@@ -260,7 +260,6 @@ class MasterConfig:
     """Everything a pipeline run needs, bundled."""
 
     seed: int = 0
-    jobs: int = 1
     out_dir: str = "out"
     env: EnvConfig = field(default_factory=EnvConfig)
     rl: RLConfig = field(default_factory=RLConfig)
@@ -294,7 +293,7 @@ class MasterConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigurationError(f"unknown master config keys: {sorted(unknown)}")
-        for key in ("seed", "jobs", "out_dir"):
+        for key in ("seed", "out_dir"):
             if key in doc:
                 kwargs[key] = doc[key]
         simple = {

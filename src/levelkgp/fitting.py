@@ -18,7 +18,6 @@ import json
 import logging
 import math
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -312,7 +311,6 @@ class LevelFitter:
     ``observation_set_builder`` maps a state id to the discrete-level
     policies [pi_0, ..., pi_K] for that state.  GP models are built on
     demand and cached, so a shared cache amortizes fits across drivers.
-    Thread safe; ``compare_driver`` can fan out over states.
     """
 
     def __init__(
@@ -414,31 +412,18 @@ class LevelFitter:
             sid for sid in record.states() if record.n_visits(sid) >= self.fit_cfg.n_th
         ]
 
-    def compare_driver(
-        self, record: DriverRecord, search: str = "sa", jobs: int = 1
-    ) -> DriverReport:
+    def compare_driver(self, record: DriverRecord, search: str = "sa") -> DriverReport:
         """Fit every sufficiently visited state of one driver."""
-        eligible = self._eligible(record)
         method = "continuous" if search == "sa" else f"continuous-{search}"
         report = DriverReport(
             driver_id=record.driver_id,
             method=method,
             n_states_observed=len(record.states()),
         )
-        if jobs > 1 and len(eligible) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [
-                    pool.submit(
-                        self.fit_state, record.driver_id, sid, record.counts[sid], search
-                    )
-                    for sid in eligible
-                ]
-                report.results = [f.result() for f in futures]
-        else:
-            report.results = [
-                self.fit_state(record.driver_id, sid, record.counts[sid], search)
-                for sid in eligible
-            ]
+        report.results = [
+            self.fit_state(record.driver_id, sid, record.counts[sid], search)
+            for sid in self._eligible(record)
+        ]
         return report
 
     def compare_driver_discrete(self, record: DriverRecord) -> DriverReport:

@@ -21,7 +21,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import InputError
-from .gp import Policy
 
 TIE_TOL = 1e-12
 
@@ -80,13 +79,6 @@ class MixedStrategy:
 
     def __repr__(self) -> str:
         return f"MixedStrategy({np.array2string(self.coeffs, precision=4)})"
-
-
-def pure_utility(responder_level: int, opponent_level: int) -> float:
-    """1 when the responder reasons exactly one step deeper, else 0."""
-    if responder_level < 0 or opponent_level < 0:
-        raise InputError("levels must be non-negative")
-    return 1.0 if responder_level == opponent_level + 1 else 0.0
 
 
 def mixed_utility(responder: MixedStrategy, opponent: MixedStrategy) -> float:
@@ -169,17 +161,3 @@ def brute_force_best_response(
         elif value >= best_value - tie_tol:
             argmax.append(candidate)
     return best_value, argmax
-
-
-def mixed_policy(weights: Sequence[float], policies: Sequence[Policy]) -> Policy:
-    """Convex combination of policies under the given weights."""
-    if len(weights) != len(policies):
-        raise InputError("one weight per policy required")
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < -TIE_TOL) or abs(float(w.sum()) - 1.0) > 1e-9:
-        raise InputError("weights must be a probability vector")
-    sizes = {len(p) for p in policies}
-    if len(sizes) != 1:
-        raise InputError("policies must share an action count")
-    stacked = np.vstack([p.probs for p in policies])
-    return Policy(np.clip(w, 0.0, None) @ stacked)

@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -141,6 +140,12 @@ def zero_sum_basis(dim: int) -> np.ndarray:
         basis[j, j - 1] = -float(j)
         basis[:, j - 1] /= math.sqrt(j * (j + 1))
     return basis
+
+
+def residual_target(policies: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Coordinates of (policy - uniform) in ``basis``, one row per policy,
+    flattened output-major: the zero-mean GP's training target."""
+    return ((policies - 1.0 / policies.shape[1]) @ basis).T.ravel()
 
 
 def gaussian_log_marginal(chol: np.ndarray, target: np.ndarray) -> float:
@@ -430,8 +435,9 @@ class PolicyPrediction:
 class StateGP:
     """Fitted per-state model; exposes posterior queries over levels.
 
-    Instances are immutable after construction and safe to share across
-    threads: prediction only reads the stored factorization.
+    Instances are immutable after construction: prediction only reads
+    the stored factorization.  ``jitter_used`` above ``MAX_JITTER``
+    raises InputError, so a model file cannot raise the jitter cap.
     """
 
     def __init__(
@@ -450,9 +456,10 @@ class StateGP:
         self.action_count = self.policies.shape[1]
         self.basis = zero_sum_basis(self.action_count)
         self.prior_mean = np.full(self.action_count, 1.0 / self.action_count)
-        # residual coordinates, output-major flattening
-        resid = (self.policies - self.prior_mean) @ self.basis
-        self._target = resid.T.ravel()
+        self._target = residual_target(self.policies, self.basis)
+        # the escalation tolerance of jittered_cholesky, so every fitted model loads
+        if jitter_used > MAX_JITTER * (1 + 1e-12):
+            raise InputError(f"jitter_used {jitter_used} above the cap {MAX_JITTER}")
         sigma = params.covariance(self.levels, self.levels)
         self.chol, self.jitter_used = jittered_cholesky(
             sigma, jitter_used, max(jitter_used, MAX_JITTER)
@@ -550,8 +557,7 @@ def fit_state_gp(
     x, y = _validate_training_set(levels, policies)
     action_count = y.shape[1]
     dim = action_count - 1
-    resid = (y - 1.0 / action_count) @ zero_sum_basis(action_count)
-    target = resid.T.ravel()
+    target = residual_target(y, zero_sum_basis(action_count))
 
     slots, _n_params = _layout(entries, dim)
     grams = unit_grams(x, x, _length_scales(entries))
@@ -588,60 +594,43 @@ def fit_state_gp(
 
 
 class ModelCache:
-    """Thread-safe store of fitted per-state models.
+    """Store of fitted per-state models, keyed by state id.
 
-    ``get_or_fit`` serializes concurrent fits of the same state behind a
-    per-state lock so each model is built once; distinct states fit in
-    parallel.
+    ``get_or_fit`` builds a missing model once and keeps it, so fits are
+    shared across drivers.
     """
 
     def __init__(self):
         self._models: dict[int, StateGP] = {}
-        self._guard = threading.Lock()
-        self._state_locks: dict[int, threading.Lock] = {}
 
     def put(self, model: StateGP):
         if model.state_id is None:
             raise InputError("cached models need a state_id")
-        with self._guard:
-            self._models[model.state_id] = model
+        self._models[model.state_id] = model
 
     def get(self, state_id: int) -> StateGP:
-        with self._guard:
-            try:
-                return self._models[state_id]
-            except KeyError:
-                raise MissingStateError(state_id) from None
+        try:
+            return self._models[state_id]
+        except KeyError:
+            raise MissingStateError(state_id) from None
 
     def __contains__(self, state_id: int) -> bool:
-        with self._guard:
-            return state_id in self._models
+        return state_id in self._models
 
     def __len__(self) -> int:
-        with self._guard:
-            return len(self._models)
+        return len(self._models)
 
     def state_ids(self) -> list[int]:
-        with self._guard:
-            return sorted(self._models)
+        return sorted(self._models)
 
     def get_or_fit(self, state_id: int, builder: Callable[[], StateGP]) -> StateGP:
-        with self._guard:
-            model = self._models.get(state_id)
-            if model is not None:
-                return model
-            lock = self._state_locks.setdefault(state_id, threading.Lock())
-        with lock:
-            with self._guard:
-                model = self._models.get(state_id)
-                if model is not None:
-                    return model
+        model = self._models.get(state_id)
+        if model is None:
             model = builder()
             if model.state_id != state_id:
                 raise InputError("builder returned a model for a different state")
-            with self._guard:
-                self._models[state_id] = model
-            return model
+            self._models[state_id] = model
+        return model
 
     def save_dir(self, path: str | Path):
         root = Path(path)

@@ -586,29 +586,3 @@ def train_hierarchy(env_cfg: EnvConfig, rl_cfg: RLConfig, seed: int) -> PolicySe
         partial = PolicySet(env_cfg, dict(tables))
         opponent = partial.sampler(level)
     return PolicySet(env_cfg, tables)
-
-
-def evaluate_policy(
-    policy_fn: Callable[[EnvState], int],
-    env_cfg: EnvConfig,
-    opponent: Callable[[EnvState, np.random.Generator], int],
-    episodes: int,
-    seed: int,
-) -> float:
-    """Mean per-step ego reward under a deterministic ego policy."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 9999]))
-    env = HighwayEnv(env_cfg, rng)
-    total = 0.0
-    steps = 0
-    for _ in range(episodes):
-        env.reset()
-        states = env.states()
-        for _ in range(env_cfg.episode_steps):
-            actions = [policy_fn(states[0])]
-            for other in range(1, env_cfg.n_vehicles):
-                actions.append(opponent(states[other], rng))
-            result = env.step(actions)
-            total += float(result.rewards[0])
-            steps += 1
-            states = env.states()
-    return total / steps

@@ -185,6 +185,20 @@ def test_master_config_rejects_levels_not_matching_max_level(tmp_path):
         MasterConfig.from_json(path)
 
 
+def test_master_config_rejects_jobs_key(tmp_path):
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps({"seed": 1, "jobs": 1}))
+    with pytest.raises(ConfigurationError, match="jobs"):
+        MasterConfig.from_json(path)
+
+
+def test_jobs_flag_accepts_only_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_main_surfaces_config_errors(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"nope": True}))
@@ -257,7 +271,6 @@ def smoke_config(tmp_path_factory):
     root = tmp_path_factory.mktemp("pipeline")
     cfg = {
         "seed": 5,
-        "jobs": 2,
         "out_dir": str(root / "out"),
         "rl": {"episodes": 25},
         "env": {"episode_steps": 25},
@@ -276,7 +289,7 @@ def smoke_config(tmp_path_factory):
 
 def test_pipeline_smoke(smoke_config, capsys):
     path, out = smoke_config
-    code = main(["pipeline", "--config", str(path)])
+    code = main(["pipeline", "--config", str(path), "--jobs", "1"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["stages"] == [

@@ -329,17 +329,6 @@ def test_compare_driver_filters_by_visit_threshold(fitter):
     assert report.method == "continuous"
 
 
-def test_compare_driver_parallel_matches_serial(fitter):
-    rec = DriverRecord(
-        driver_id="driver-z",
-        action_count=5,
-        counts={sid: _counts_at(fitter, sid, 0.5 + 0.3 * sid, n=60) for sid in range(3)},
-    )
-    serial = fitter.compare_driver(rec)
-    parallel = fitter.compare_driver(rec, jobs=3)
-    assert serial.results == parallel.results
-
-
 def test_compare_driver_discrete(fitter):
     rec = DriverRecord(
         driver_id="driver-w",

@@ -5,16 +5,36 @@ from hypothesis import strategies as st
 
 from levelkgp.errors import InputError
 from levelkgp.game import (
+    TIE_TOL,
     BestResponseResult,
     MixedStrategy,
     best_response_set,
     brute_force_best_response,
-    mixed_policy,
     mixed_utility,
-    pure_utility,
     simplex_grid,
 )
 from levelkgp.gp import Policy
+
+
+def pure_utility(responder_level: int, opponent_level: int) -> float:
+    """Oracle payoff of pure levels: 1 when the responder reasons exactly
+    one step deeper, else 0."""
+    if responder_level < 0 or opponent_level < 0:
+        raise InputError("levels must be non-negative")
+    return 1.0 if responder_level == opponent_level + 1 else 0.0
+
+
+def mixed_policy(weights, policies) -> Policy:
+    """Convex combination of policies under the given weights."""
+    if len(weights) != len(policies):
+        raise InputError("one weight per policy required")
+    w = np.asarray(weights, dtype=float)
+    if np.any(w < -TIE_TOL) or abs(float(w.sum()) - 1.0) > 1e-9:
+        raise InputError("weights must be a probability vector")
+    if len({len(p) for p in policies}) != 1:
+        raise InputError("policies must share an action count")
+    stacked = np.vstack([p.probs for p in policies])
+    return Policy(np.clip(w, 0.0, None) @ stacked)
 
 
 def _opponent_strategy(seed, n_levels=4):

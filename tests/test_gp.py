@@ -1,6 +1,5 @@
 import json
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
-from levelkgp.config import GPConfig, OptimizerConfig
+from levelkgp.config import MAX_JITTER, GPConfig, OptimizerConfig
 from levelkgp.errors import (
     DegeneratePolicyError,
     InputError,
@@ -304,6 +303,15 @@ def test_hand_written_v1_model_loads_and_writes_back_unchanged(tmp_path):
     assert np.abs(model.predict_mean(V1_MODEL["levels"]) - training).max() <= 1e-3
 
 
+def test_model_load_rejects_jitter_used_above_cap(tmp_path):
+    at_cap = StateGP.from_dict({**V1_MODEL, "jitter_used": MAX_JITTER})
+    assert at_cap.jitter_used == MAX_JITTER
+    path = tmp_path / "state_17.json"
+    path.write_text(json.dumps({**V1_MODEL, "jitter_used": 0.5}))
+    with pytest.raises(InputError, match="jitter_used"):
+        StateGP.load(path)
+
+
 def test_serialization_rejects_unknown_version():
     with pytest.raises(InputError):
         StateGP.from_dict({"version": 99})
@@ -342,31 +350,6 @@ def test_cache_get_or_fit_builds_once(rng):
     second = cache.get_or_fit(9, build)
     assert first is second
     assert len(calls) == 1
-
-
-def test_cache_get_or_fit_threadsafe(rng):
-    policies = random_policies(rng)
-    cache = ModelCache()
-    calls = []
-    gate = threading.Barrier(8)
-
-    def build():
-        calls.append(1)
-        return fit_state_gp(
-            LEVELS, policies, state_id=13, optimizer=OptimizerConfig(restarts=1)
-        )
-
-    def worker():
-        gate.wait()
-        cache.get_or_fit(13, build)
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(calls) == 1
-    assert len(cache) == 1
 
 
 def test_cache_save_and_load_dir(rng, tmp_path):

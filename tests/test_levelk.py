@@ -20,7 +20,6 @@ from levelkgp.levelk import (
     HighwayEnv,
     PolicySet,
     QTable,
-    evaluate_policy,
     level0_policy,
     softmax_policy,
     train_hierarchy,
@@ -308,6 +307,26 @@ def test_policy_set_load_rejects_other_discretization(tmp_path):
     other = EnvConfig(speed_bin_count=6)
     with pytest.raises(SchemaError):
         PolicySet.load(path, other)
+
+
+def evaluate_policy(policy_fn, env_cfg, opponent, episodes, seed) -> float:
+    """Mean per-step ego reward under a deterministic ego policy."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 9999]))
+    env = HighwayEnv(env_cfg, rng)
+    total = 0.0
+    steps = 0
+    for _ in range(episodes):
+        env.reset()
+        states = env.states()
+        for _ in range(env_cfg.episode_steps):
+            actions = [policy_fn(states[0])]
+            for other in range(1, env_cfg.n_vehicles):
+                actions.append(opponent(states[other], rng))
+            result = env.step(actions)
+            total += float(result.rewards[0])
+            steps += 1
+            states = env.states()
+    return total / steps
 
 
 def test_evaluate_policy_returns_finite_reward():
