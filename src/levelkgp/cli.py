@@ -21,16 +21,13 @@ import numpy as np
 
 from . import data as data_mod
 from . import fitting, game
-from .config import MasterConfig
+from .config import LEVEL_INTERVAL_EDGES, MasterConfig
 from .errors import InputError, LevelkgpError, StageError
 from .gp import ModelCache, fit_state_gp
 from .levelk import PolicySet, train_hierarchy
 
 logger = logging.getLogger(__name__)
 
-LEVEL_INTERVAL_EDGES = (
-    0.0, 0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 1.7, 1.9, 2.1, 2.3, 2.5, 2.7, 3.0,
-)
 SUCCESS_GRID_BIN_WIDTH = 5.0
 STATE_SELECTION_TAG = 1001
 
@@ -523,6 +520,10 @@ def cmd_pipeline(args) -> int:
         return continuous, discrete
 
     continuous, discrete = run("fit-drivers", stage_fit)
+    for level, count in policy_set.fallback_counts().items():
+        logger.info(
+            "level-%d table: %d states fell back to the nearest trained state", level, count
+        )
 
     def stage_report():
         doc = build_report(continuous, discrete)

@@ -20,6 +20,10 @@ DEFAULT_MATERN_LENGTH_SCALES = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
 MAX_COREGIONAL_RANK = 7
 # Cap of the jitter escalation in the GP's Cholesky factorizations.
 MAX_JITTER = 1e-2
+# Bins of the report's level histogram; their ends bound the level search.
+LEVEL_INTERVAL_EDGES = (
+    0.0, 0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 1.7, 1.9, 2.1, 2.3, 2.5, 2.7, 3.0,
+)
 
 
 @dataclass(frozen=True)
@@ -274,6 +278,12 @@ class MasterConfig:
     def __post_init__(self):
         if len(self.gp.levels) != self.rl.max_level + 1:
             raise ConfigurationError("need one gp.levels entry per level 0..rl.max_level")
+        low, high = LEVEL_INTERVAL_EDGES[0], LEVEL_INTERVAL_EDGES[-1]
+        if not (low <= self.sa.level_low and self.sa.level_high <= high):
+            raise ConfigurationError(
+                f"sa.level_low and sa.level_high must lie in [{low}, {high}], "
+                "the level range the report bins"
+            )
 
     @classmethod
     def from_json(cls, path: str | Path) -> "MasterConfig":

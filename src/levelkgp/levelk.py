@@ -13,6 +13,7 @@ training is deterministic for a fixed (config, seed).
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import logging
 import math
@@ -76,10 +77,7 @@ class Discretizer:
             self.rear_bins,
             cfg.speed_bin_count,
         )
-
-    @property
-    def n_states(self) -> int:
-        return int(np.prod(self.cardinalities))
+        self.n_states = math.prod(self.cardinalities)
 
     def state_id(self, state: EnvState) -> int:
         sid = 0
@@ -200,6 +198,13 @@ class HighwayEnv:
         self.pos = np.zeros(cfg.n_vehicles)
         self.vel = np.zeros(cfg.n_vehicles)
         self.lane = np.zeros(cfg.n_vehicles, dtype=int)
+        self._accel_of = {
+            MAINTAIN: 0.0,
+            ACCELERATE: cfg.accel,
+            DECELERATE: cfg.decel,
+            HARD_BRAKE: cfg.hard_brake,
+            CHANGE_LANE: 0.0,
+        }
         self.reset()
 
     def reset(self):
@@ -211,59 +216,71 @@ class HighwayEnv:
         self.lane = self.rng.integers(0, cfg.n_lanes, cfg.n_vehicles)
 
     # -- geometry ------------------------------------------------------------
+    #
+    # Each lane is one list of (pos, idx) sorted on the ring, ties on the
+    # index, built once per states() call and per phase of step().  A
+    # search bisects the lane's positions and steps over the querying
+    # vehicle itself; that finds the same neighbour as bisecting the lane
+    # without it.
 
-    def _lane_order(self) -> list[list[tuple[float, int]]]:
+    def _lane_order(self) -> list[tuple[list[tuple[float, int]], list[float]]]:
         lanes: list[list[tuple[float, int]]] = [[] for _ in range(self.cfg.n_lanes)]
-        for idx in range(self.cfg.n_vehicles):
-            lanes[self.lane[idx]].append((float(self.pos[idx]), idx))
+        for idx, (pos, lane) in enumerate(zip(self.pos.tolist(), self.lane.tolist())):
+            lanes[lane].append((pos, idx))
+        order = []
         for entries in lanes:
             entries.sort()
-        return lanes
+            order.append((entries, [e[0] for e in entries]))
+        return order
 
     def _ahead(self, lanes, lane: int, pos: float, skip: int) -> tuple[float, Optional[int]]:
         """Gap and index of the nearest vehicle ahead in the lane."""
-        entries = [e for e in lanes[lane] if e[1] != skip]
-        if not entries:
+        entries, positions = lanes[lane]
+        n = len(entries)
+        if n == 0 or (n == 1 and entries[0][1] == skip):
             return self.cfg.ring_length, None
-        positions = [e[0] for e in entries]
-        i = bisect.bisect_right(positions, pos)
-        nxt = entries[i % len(entries)]
-        gap = (nxt[0] - pos) % self.cfg.ring_length
+        i = bisect.bisect_right(positions, pos) % n
+        if entries[i][1] == skip:
+            i = (i + 1) % n
+        gap = (entries[i][0] - pos) % self.cfg.ring_length
         if gap == 0.0:
             gap = self.cfg.ring_length
-        return gap, nxt[1]
+        return gap, entries[i][1]
 
     def _behind(self, lanes, lane: int, pos: float, skip: int) -> tuple[float, Optional[int]]:
-        entries = [e for e in lanes[lane] if e[1] != skip]
-        if not entries:
+        entries, positions = lanes[lane]
+        n = len(entries)
+        if n == 0 or (n == 1 and entries[0][1] == skip):
             return self.cfg.ring_length, None
-        positions = [e[0] for e in entries]
-        i = bisect.bisect_left(positions, pos)
-        prev = entries[(i - 1) % len(entries)]
-        gap = (pos - prev[0]) % self.cfg.ring_length
+        i = (bisect.bisect_left(positions, pos) - 1) % n
+        if entries[i][1] == skip:
+            i = (i - 1) % n
+        gap = (pos - entries[i][0]) % self.cfg.ring_length
         if gap == 0.0:
             gap = self.cfg.ring_length
-        return gap, prev[1]
+        return gap, entries[i][1]
 
     def state_of(self, idx: int, lanes=None) -> EnvState:
         lanes = lanes if lanes is not None else self._lane_order()
-        lane = int(self.lane[idx])
-        pos = float(self.pos[idx])
-        front_gap, leader = self._ahead(lanes, lane, pos, idx)
-        rel = 0.0 if leader is None else float(self.vel[leader] - self.vel[idx])
-        rear_left = None
-        if lane - 1 >= 0:
-            rear_left, _ = self._behind(lanes, lane - 1, pos, idx)
-        rear_right = None
-        if lane + 1 < self.cfg.n_lanes:
-            rear_right, _ = self._behind(lanes, lane + 1, pos, idx)
-        return self.disc.discretize(
-            lane, front_gap, rel, rear_left, rear_right, float(self.vel[idx])
-        )
+        return self._observe(lanes, idx, self.lane.tolist(), self.pos.tolist(), self.vel.tolist())
 
     def states(self) -> list[EnvState]:
         lanes = self._lane_order()
-        return [self.state_of(i, lanes) for i in range(self.cfg.n_vehicles)]
+        lane, pos, vel = self.lane.tolist(), self.pos.tolist(), self.vel.tolist()
+        return [self._observe(lanes, i, lane, pos, vel) for i in range(self.cfg.n_vehicles)]
+
+    def _observe(self, lanes, idx: int, lane: list, pos: list, vel: list) -> EnvState:
+        own_lane = lane[idx]
+        own_pos = pos[idx]
+        front_gap, leader = self._ahead(lanes, own_lane, own_pos, idx)
+        rel = 0.0 if leader is None else vel[leader] - vel[idx]
+        rear_left = None
+        if own_lane - 1 >= 0:
+            rear_left, _ = self._behind(lanes, own_lane - 1, own_pos, idx)
+        rear_right = None
+        if own_lane + 1 < self.cfg.n_lanes:
+            rear_right, _ = self._behind(lanes, own_lane + 1, own_pos, idx)
+        return self.disc.discretize(own_lane, front_gap, rel, rear_left, rear_right, vel[idx])
 
     def _lane_change_ok(self, lanes, idx: int, target: int) -> bool:
         if not 0 <= target < self.cfg.n_lanes:
@@ -307,21 +324,14 @@ class HighwayEnv:
                     changed[idx] = True
         # leaders are fixed after the lane-change phase, before anyone moves
         lanes = self._lane_order()
-        leaders = [
-            self._ahead(lanes, int(self.lane[idx]), float(self.pos[idx]), idx)
-            for idx in range(n)
-        ]
-        accel_of = {
-            MAINTAIN: 0.0,
-            ACCELERATE: cfg.accel,
-            DECELERATE: cfg.decel,
-            HARD_BRAKE: cfg.hard_brake,
-            CHANGE_LANE: 0.0,
-        }
+        pos = self.pos.tolist()
+        vel = self.vel.tolist()
+        lane = self.lane.tolist()
+        leaders = [self._ahead(lanes, lane[idx], pos[idx], idx) for idx in range(n)]
         for idx in range(n):
-            a = accel_of[int(actions[idx])]
-            self.vel[idx] = float(np.clip(self.vel[idx] + a * cfg.dt, 0.0, cfg.speed_max))
-            self.pos[idx] = (self.pos[idx] + self.vel[idx] * cfg.dt) % cfg.ring_length
+            a = self._accel_of[int(actions[idx])]
+            vel[idx] = min(max(vel[idx] + a * cfg.dt, 0.0), cfg.speed_max)
+            pos[idx] = (pos[idx] + vel[idx] * cfg.dt) % cfg.ring_length
         # the follower collides when the headway closes below collision_gap;
         # a negative projected gap means it would have passed through
         collided = np.zeros(n, dtype=bool)
@@ -329,11 +339,13 @@ class HighwayEnv:
             gap, leader = leaders[idx]
             if leader is None:
                 continue
-            projected = gap + (self.vel[leader] - self.vel[idx]) * cfg.dt
+            projected = gap + (vel[leader] - vel[idx]) * cfg.dt
             if projected < cfg.collision_gap:
                 collided[idx] = True
-                self.pos[idx] = (self.pos[leader] - cfg.collision_gap) % cfg.ring_length
-                self.vel[idx] = float(self.vel[leader])
+                pos[idx] = (pos[leader] - cfg.collision_gap) % cfg.ring_length
+                vel[idx] = vel[leader]
+        self.pos[:] = pos
+        self.vel[:] = vel
         rewards = (
             cfg.w_speed * self.vel / cfg.speed_max
             - cfg.w_collision * collided
@@ -407,8 +419,28 @@ class QTable:
             raise SchemaError(f"q-table document missing key {exc}") from exc
 
 
-def _sample(policy: Policy, rng: np.random.Generator) -> int:
-    return int(rng.choice(policy.probs.size, p=policy.probs))
+class PolicySampler:
+    """Opponent that draws actions from per-state policies.
+
+    Each state's policy becomes one cumulative row, built once.  A draw
+    takes one ``rng.random()`` and finds it in the row, which is what
+    ``rng.choice(N_ACTIONS, p=probs)`` does: the same action and the same
+    generator state after it.
+    """
+
+    def __init__(self, disc: Discretizer, policy_of: Callable[[int], Policy]):
+        self.disc = disc
+        self.policy_of = policy_of
+        self._rows: dict[int, list[float]] = {}
+
+    def __call__(self, state: EnvState, rng: np.random.Generator) -> int:
+        sid = self.disc.state_id(state)
+        row = self._rows.get(sid)
+        if row is None:
+            cdf = self.policy_of(sid).probs.cumsum()
+            cdf /= cdf[-1]
+            row = self._rows[sid] = cdf.tolist()
+        return bisect.bisect_right(row, rng.random())
 
 
 def train_level(
@@ -456,7 +488,8 @@ class PolicySet:
 
     States missing from a table fall back to the nearest populated state
     by Hamming distance over the decoded fields (ties break on the lower
-    id).  Resolutions are cached; the fallback is logged once per state.
+    id).  Resolutions are cached; each fallback is logged once at DEBUG,
+    and ``fallback_counts`` sums them per level.
     """
 
     def __init__(self, env_cfg: EnvConfig, tables: dict[int, QTable]):
@@ -465,15 +498,18 @@ class PolicySet:
         got = sorted(tables)
         if got != list(range(1, len(got) + 1)):
             raise InputError(f"levels must be 1..K, got {got}")
+        self.disc = Discretizer(env_cfg)
         for k, table in tables.items():
             if table.level != k:
                 raise InputError("table level does not match its key")
             if not table.q:
                 raise InputError(f"level {k} table is empty")
+            if min(table.q) < 0 or max(table.q) >= self.disc.n_states:
+                raise InputError(f"level {k} table holds a state id out of range")
         self.env_cfg = env_cfg
-        self.disc = Discretizer(env_cfg)
         self.tables = tables
         self._fallback: dict[tuple[int, int], int] = {}
+        self._decoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._policy_cache: dict[tuple[int, int], Policy] = {}
 
     @property
@@ -492,16 +528,17 @@ class PolicySet:
         cached = self._fallback.get(key)
         if cached is not None:
             return cached
-        fields = self.disc.state_from_id(sid).fields()
-        best_sid = -1
-        best_dist = len(fields) + 1
-        for candidate in sorted(table.q):
-            cand_fields = self.disc.state_from_id(candidate).fields()
-            dist = sum(a != b for a, b in zip(fields, cand_fields))
-            if dist < best_dist:
-                best_dist = dist
-                best_sid = candidate
-        logger.info(
+        query = self.disc.state_from_id(sid).fields()
+        decoded = self._decoded.get(level)
+        if decoded is None:
+            ids = np.array(sorted(table.q))
+            # state ids are mixed radix with the first field most significant
+            fields = np.stack(np.unravel_index(ids, self.disc.cardinalities), axis=1)
+            decoded = self._decoded[level] = (ids, fields)
+        ids, fields = decoded
+        # argmin keeps the first of equal distances: the lowest id
+        best_sid = int(ids[np.argmin((fields != query).sum(axis=1))])
+        logger.debug(
             "state %d missing from level-%d table, using nearest state %d",
             sid,
             level,
@@ -509,6 +546,14 @@ class PolicySet:
         )
         self._fallback[key] = best_sid
         return best_sid
+
+    def fallback_counts(self) -> dict[int, int]:
+        """Per trained level, how many states have fallen back so far,
+        including those of training when the set came from train_hierarchy."""
+        counts = dict.fromkeys(sorted(self.tables), 0)
+        for level, _ in self._fallback:
+            counts[level] += 1
+        return counts
 
     def policy(self, level: int, sid: int) -> Policy:
         if level == 0:
@@ -526,11 +571,8 @@ class PolicySet:
         """Observation set for one state: policies at levels 0..K."""
         return [self.policy(k, sid) for k in self.levels]
 
-    def sampler(self, level: int) -> Callable[[EnvState, np.random.Generator], int]:
-        def draw(state: EnvState, rng: np.random.Generator) -> int:
-            return _sample(self.policy(level, self.disc.state_id(state)), rng)
-
-        return draw
+    def sampler(self, level: int) -> PolicySampler:
+        return PolicySampler(self.disc, functools.partial(self.policy, level))
 
     def common_states(self, min_visits: int = 1) -> list[int]:
         """States visited at least min_visits times at every trained level."""
@@ -575,14 +617,15 @@ class PolicySet:
 def train_hierarchy(env_cfg: EnvConfig, rl_cfg: RLConfig, seed: int) -> PolicySet:
     """Train levels 1..max_level, each against the previous level."""
     tables: dict[int, QTable] = {}
-
-    def rule_sampler(state: EnvState, rng: np.random.Generator) -> int:
-        return _sample(level0_policy(state), rng)
-
-    opponent = rule_sampler
+    # a level's fallbacks do not depend on the levels above it, so each
+    # partial set shares them and the final set counts those of training
+    fallback: dict[tuple[int, int], int] = {}
+    disc = Discretizer(env_cfg)
+    opponent = PolicySampler(disc, lambda sid: level0_policy(disc.state_from_id(sid)))
     for level in range(1, rl_cfg.max_level + 1):
         logger.info("training level %d against level %d traffic", level, level - 1)
         tables[level] = train_level(level, opponent, env_cfg, rl_cfg, seed)
-        partial = PolicySet(env_cfg, dict(tables))
-        opponent = partial.sampler(level)
-    return PolicySet(env_cfg, tables)
+        policy_set = PolicySet(env_cfg, dict(tables))
+        policy_set._fallback = fallback
+        opponent = policy_set.sampler(level)
+    return policy_set

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -185,6 +186,22 @@ def test_master_config_rejects_levels_not_matching_max_level(tmp_path):
         MasterConfig.from_json(path)
 
 
+@pytest.mark.parametrize("sa", [{"level_high": 4.0}, {"level_low": -0.5}])
+def test_master_config_rejects_sa_levels_outside_report_range(tmp_path, sa):
+    path = tmp_path / "sa.json"
+    path.write_text(json.dumps({"sa": sa}))
+    with pytest.raises(ConfigurationError, match="sa.level_low and sa.level_high"):
+        MasterConfig.from_json(path)
+
+
+def test_master_config_accepts_sa_levels_inside_report_range():
+    cfg = MasterConfig.from_dict(
+        {"sa": {"level_low": 0.5, "level_high": 2.5, "restart_levels": [1.0]}}
+    )
+    assert (cfg.sa.level_low, cfg.sa.level_high) == (0.5, 2.5)
+    assert (LEVEL_INTERVAL_EDGES[0], LEVEL_INTERVAL_EDGES[-1]) == (0.0, 3.0)
+
+
 def test_master_config_rejects_jobs_key(tmp_path):
     path = tmp_path / "jobs.json"
     path.write_text(json.dumps({"seed": 1, "jobs": 1}))
@@ -287,10 +304,18 @@ def smoke_config(tmp_path_factory):
     return path, root / "out"
 
 
-def test_pipeline_smoke(smoke_config, capsys):
+def test_pipeline_smoke(smoke_config, capsys, caplog):
     path, out = smoke_config
-    code = main(["pipeline", "--config", str(path), "--jobs", "1"])
+    with caplog.at_level(logging.INFO, logger="levelkgp"):
+        code = main(["pipeline", "--config", str(path), "--jobs", "1"])
     assert code == 0
+    # per-state fallbacks go to DEBUG; INFO holds one count per level
+    info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert not any("missing from" in m for m in info)
+    assert [m.split(":")[0] for m in info if "fell back" in m] == [
+        "level-1 table", "level-2 table", "level-3 table"
+    ]
+    assert len(info) <= 15
     doc = json.loads(capsys.readouterr().out)
     assert doc["stages"] == [
         "train-levels",

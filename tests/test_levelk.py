@@ -1,4 +1,9 @@
+import bisect
+import hashlib
+import json
+import logging
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import strategies as st
 
 from levelkgp.config import EnvConfig, RLConfig
 from levelkgp.errors import InputError, MissingStateError, SchemaError
+from levelkgp.gp import Policy
 from levelkgp.levelk import (
     ACCELERATE,
     ACTIONS,
@@ -18,8 +24,10 @@ from levelkgp.levelk import (
     Discretizer,
     EnvState,
     HighwayEnv,
+    PolicySampler,
     PolicySet,
     QTable,
+    StepResult,
     level0_policy,
     softmax_policy,
     train_hierarchy,
@@ -31,6 +39,11 @@ DISC = Discretizer(ENV)
 
 TINY_ENV = EnvConfig(episode_steps=15)
 TINY_RL = RLConfig(episodes=8, max_level=2)
+
+# SHA-256 of json.dumps(train_hierarchy(TINY_ENV, TINY_RL, seed=3).to_dict(),
+# sort_keys=True), recorded with the rng.choice sampler, the Hamming scan
+# fallback and the list-filtering geometry that the faster training replaced.
+TINY_HIERARCHY_SHA256 = "2178e76031c98128b5286681e5221de469861d24e18f11e0b6d201700202f166"
 
 
 def _state_strategy():
@@ -216,11 +229,232 @@ def test_env_step_requires_action_per_vehicle(rng):
         env.step([MAINTAIN])
 
 
+class ListGeometryEnv(HighwayEnv):
+    """Oracle: the ring geometry that filters each lane's list per query and
+    clips speeds with np.clip, against which the bisecting one is checked."""
+
+    def _lane_order(self):
+        lanes = [[] for _ in range(self.cfg.n_lanes)]
+        for idx in range(self.cfg.n_vehicles):
+            lanes[self.lane[idx]].append((float(self.pos[idx]), idx))
+        for entries in lanes:
+            entries.sort()
+        return lanes
+
+    def _ahead(self, lanes, lane, pos, skip):
+        entries = [e for e in lanes[lane] if e[1] != skip]
+        if not entries:
+            return self.cfg.ring_length, None
+        positions = [e[0] for e in entries]
+        i = bisect.bisect_right(positions, pos)
+        nxt = entries[i % len(entries)]
+        gap = (nxt[0] - pos) % self.cfg.ring_length
+        if gap == 0.0:
+            gap = self.cfg.ring_length
+        return gap, nxt[1]
+
+    def _behind(self, lanes, lane, pos, skip):
+        entries = [e for e in lanes[lane] if e[1] != skip]
+        if not entries:
+            return self.cfg.ring_length, None
+        positions = [e[0] for e in entries]
+        i = bisect.bisect_left(positions, pos)
+        prev = entries[(i - 1) % len(entries)]
+        gap = (pos - prev[0]) % self.cfg.ring_length
+        if gap == 0.0:
+            gap = self.cfg.ring_length
+        return gap, prev[1]
+
+    def state_of(self, idx, lanes=None):
+        lanes = lanes if lanes is not None else self._lane_order()
+        lane = int(self.lane[idx])
+        pos = float(self.pos[idx])
+        front_gap, leader = self._ahead(lanes, lane, pos, idx)
+        rel = 0.0 if leader is None else float(self.vel[leader] - self.vel[idx])
+        rear_left = None
+        if lane - 1 >= 0:
+            rear_left, _ = self._behind(lanes, lane - 1, pos, idx)
+        rear_right = None
+        if lane + 1 < self.cfg.n_lanes:
+            rear_right, _ = self._behind(lanes, lane + 1, pos, idx)
+        return self.disc.discretize(
+            lane, front_gap, rel, rear_left, rear_right, float(self.vel[idx])
+        )
+
+    def states(self):
+        lanes = self._lane_order()
+        return [self.state_of(i, lanes) for i in range(self.cfg.n_vehicles)]
+
+    def step(self, actions):
+        cfg = self.cfg
+        n = cfg.n_vehicles
+        lanes = self._lane_order()
+        changed = np.zeros(n, dtype=bool)
+        for idx in range(n):
+            if actions[idx] == CHANGE_LANE:
+                target = self._lane_change_target(lanes, idx)
+                if target is not None:
+                    self.lane[idx] = target
+                    changed[idx] = True
+        lanes = self._lane_order()
+        leaders = [
+            self._ahead(lanes, int(self.lane[idx]), float(self.pos[idx]), idx)
+            for idx in range(n)
+        ]
+        accel_of = {
+            MAINTAIN: 0.0,
+            ACCELERATE: cfg.accel,
+            DECELERATE: cfg.decel,
+            HARD_BRAKE: cfg.hard_brake,
+            CHANGE_LANE: 0.0,
+        }
+        for idx in range(n):
+            a = accel_of[int(actions[idx])]
+            self.vel[idx] = float(np.clip(self.vel[idx] + a * cfg.dt, 0.0, cfg.speed_max))
+            self.pos[idx] = (self.pos[idx] + self.vel[idx] * cfg.dt) % cfg.ring_length
+        collided = np.zeros(n, dtype=bool)
+        for idx in range(n):
+            gap, leader = leaders[idx]
+            if leader is None:
+                continue
+            projected = gap + (self.vel[leader] - self.vel[idx]) * cfg.dt
+            if projected < cfg.collision_gap:
+                collided[idx] = True
+                self.pos[idx] = (self.pos[leader] - cfg.collision_gap) % cfg.ring_length
+                self.vel[idx] = float(self.vel[leader])
+        rewards = (
+            cfg.w_speed * self.vel / cfg.speed_max
+            - cfg.w_collision * collided
+            - cfg.w_lane_change * changed
+        )
+        return StepResult(rewards=rewards, collided=collided, lane_changed=changed)
+
+
+def _assert_same_env(fast, slow):
+    assert np.array_equal(fast.pos, slow.pos)
+    assert np.array_equal(fast.vel, slow.vel)
+    assert np.array_equal(fast.lane, slow.lane)
+    assert fast.states() == slow.states()
+    for idx in range(fast.cfg.n_vehicles):
+        assert fast.state_of(idx) == slow.state_of(idx)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ENV,
+        EnvConfig(n_vehicles=14, ring_length=120.0),
+        EnvConfig(n_lanes=2, n_vehicles=4, ring_length=60.0),
+    ],
+)
+def test_env_geometry_matches_list_oracle_over_rollouts(cfg):
+    fast = HighwayEnv(cfg, np.random.default_rng(11))
+    slow = ListGeometryEnv(cfg, np.random.default_rng(11))
+    actions_rng = np.random.default_rng(12)
+    collisions = lane_changes = 0
+    for step in range(400):
+        if step % 50 == 0:
+            fast.reset()
+            slow.reset()
+        _assert_same_env(fast, slow)
+        actions = list(actions_rng.choice(N_ACTIONS, cfg.n_vehicles, p=[0.2, 0.3, 0.1, 0.1, 0.3]))
+        a, b = fast.step(actions), slow.step(actions)
+        assert np.array_equal(a.rewards, b.rewards)
+        assert np.array_equal(a.collided, b.collided)
+        assert np.array_equal(a.lane_changed, b.lane_changed)
+        collisions += int(a.collided.sum())
+        lane_changes += int(a.lane_changed.sum())
+    _assert_same_env(fast, slow)
+    assert collisions > 0 and lane_changes > 0
+
+
+def test_env_geometry_matches_list_oracle_on_tied_positions():
+    cfg = EnvConfig(n_lanes=2, n_vehicles=6, ring_length=100.0)
+    fast = HighwayEnv(cfg, np.random.default_rng(0))
+    slow = ListGeometryEnv(cfg, np.random.default_rng(0))
+    for env in (fast, slow):
+        env.pos = np.array([10.0, 10.0, 10.0, 55.0, 55.0, 99.5])
+        env.vel = np.array([8.0, 12.0, 3.0, 0.0, 25.0, 10.0])
+        env.lane = np.array([0, 0, 1, 1, 0, 0])
+    _assert_same_env(fast, slow)
+    for actions in ([CHANGE_LANE] * 6, [ACCELERATE] * 6, [MAINTAIN] * 6):
+        a, b = fast.step(actions), slow.step(actions)
+        assert np.array_equal(a.rewards, b.rewards)
+        assert np.array_equal(a.collided, b.collided)
+        assert np.array_equal(a.lane_changed, b.lane_changed)
+        _assert_same_env(fast, slow)
+
+
 # -- training ------------------------------------------------------------------------
 
 
 def _rule_sampler(state, rng):
     return int(rng.choice(N_ACTIONS, p=level0_policy(state).probs))
+
+
+def _sampler_policies(rng) -> list[Policy]:
+    """Random, near-degenerate, one-hot and epsilon policies."""
+    policies = [
+        Policy(rng.dirichlet(np.full(N_ACTIONS, c))) for c in (0.05, 0.5, 5.0) for _ in range(60)
+    ]
+    for a in range(N_ACTIONS):
+        policies.append(Policy(np.eye(N_ACTIONS)[a]))
+        for eps in (1e-12, 1e-6, 0.01, 0.3):
+            probs = np.full(N_ACTIONS, eps / (N_ACTIONS - 1))
+            probs[a] = 1.0 - eps
+            policies.append(Policy(probs))
+    for sid in range(0, DISC.n_states, 97):
+        policies.append(level0_policy(DISC.state_from_id(sid)))
+    return policies
+
+
+def test_policy_sampler_matches_rng_choice_draw_for_draw(rng):
+    policies = _sampler_policies(rng)
+    sampler = PolicySampler(DISC, lambda sid: policies[sid])
+    ours = np.random.default_rng(77)
+    theirs = np.random.default_rng(77)
+    for _ in range(20):
+        for sid, policy in enumerate(policies):
+            got = sampler(DISC.state_from_id(sid), ours)
+            assert got == int(theirs.choice(N_ACTIONS, p=policy.probs))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class _FixedUniforms:
+    """Stands in for a generator whose random() returns given values."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def test_policy_sampler_breaks_exact_cdf_hits_to_the_right():
+    # rng.choice locates the uniform with searchsorted(side="right")
+    probs = np.array([0.0, 0.25, 0.0, 0.5, 0.25])
+    cdf = probs.cumsum()
+    uniforms = [0.0, 0.25, 0.5, 0.75, 0.9999]
+    sampler = PolicySampler(DISC, lambda sid: Policy(probs))
+    draws = [sampler(DISC.state_from_id(0), _FixedUniforms([u])) for u in uniforms]
+    assert draws == [int(np.searchsorted(cdf, u, side="right")) for u in uniforms]
+    assert draws == [1, 3, 3, 4, 4]
+
+
+def test_train_hierarchy_level1_matches_rng_choice_rule_oracle():
+    rl = RLConfig(episodes=8, max_level=1)
+    oracle = train_level(1, _rule_sampler, TINY_ENV, rl, seed=4)
+    table = train_hierarchy(TINY_ENV, rl, seed=4).tables[1]
+    assert table.visits == oracle.visits
+    assert sorted(table.q) == sorted(oracle.q)
+    for sid in oracle.q:
+        assert np.array_equal(table.q[sid], oracle.q[sid])
+
+
+def test_train_hierarchy_golden_digest():
+    doc = train_hierarchy(TINY_ENV, TINY_RL, seed=3).to_dict()
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == TINY_HIERARCHY_SHA256
 
 
 def test_train_level_visits_states_and_is_deterministic():
@@ -259,6 +493,14 @@ def test_policy_set_rejects_empty_table():
         PolicySet(ENV, {1: table})
 
 
+@pytest.mark.parametrize("sid", [-1, DISC.n_states])
+def test_policy_set_rejects_state_ids_out_of_range(sid):
+    q = {0: np.zeros(N_ACTIONS), sid: np.zeros(N_ACTIONS)}
+    table = QTable(level=1, action_count=N_ACTIONS, q=q, visits=dict.fromkeys(q, 1))
+    with pytest.raises(InputError, match="out of range"):
+        PolicySet(ENV, {1: table})
+
+
 def test_policy_set_fallback_uses_nearest_state():
     near = EnvState(1, 2, 1, 2, 2, 1)
     far = EnvState(2, 0, 0, 0, 1, 3)
@@ -275,6 +517,57 @@ def test_policy_set_fallback_uses_nearest_state():
     query = EnvState(1, 3, 1, 2, 2, 1)
     policy = ps.policy(1, DISC.state_id(query))
     assert np.allclose(policy.probs, softmax_policy(q_near).probs)
+
+
+def _hamming_oracle(table: QTable, sid: int) -> int:
+    """Brute-force nearest trained state: lowest id among the closest."""
+    fields = DISC.state_from_id(sid).fields()
+    best_sid: Optional[int] = None
+    best_dist = len(fields) + 1
+    for candidate in sorted(table.q):
+        cand_fields = DISC.state_from_id(candidate).fields()
+        dist = sum(a != b for a, b in zip(fields, cand_fields))
+        if dist < best_dist:
+            best_dist = dist
+            best_sid = candidate
+    return best_sid
+
+
+@pytest.mark.parametrize("n_trained", [1, 4, 30])
+def test_policy_set_fallback_matches_hamming_oracle(n_trained, caplog):
+    rng = np.random.default_rng(n_trained)
+    trained = sorted(int(s) for s in rng.choice(DISC.n_states, n_trained, replace=False))
+    # distinct values, so each policy names the state it came from
+    q = {sid: rng.normal(size=N_ACTIONS) for sid in trained}
+    table = QTable(level=1, action_count=N_ACTIONS, q=q, visits=dict.fromkeys(q, 1))
+    ps = PolicySet(ENV, {1: table})
+    queries = [int(s) for s in rng.choice(DISC.n_states, 300, replace=False)]
+    ties = 0
+    with caplog.at_level(logging.DEBUG, logger="levelkgp"):
+        for sid in queries:
+            expected = sid if sid in q else _hamming_oracle(table, sid)
+            assert np.array_equal(ps.policy(1, sid).probs, table.policy(expected).probs)
+            query = DISC.state_from_id(sid).fields()
+            dists = [
+                sum(a != b for a, b in zip(query, DISC.state_from_id(c).fields()))
+                for c in trained
+            ]
+            ties += dists.count(min(dists)) > 1
+    missing = sum(sid not in q for sid in queries)
+    assert ps.fallback_counts() == {1: missing}
+    fallback_records = [r for r in caplog.records if "missing from level-1" in r.getMessage()]
+    assert len(fallback_records) == missing
+    assert all(r.levelno == logging.DEBUG for r in fallback_records)
+    if n_trained > 1:
+        assert ties > 0
+
+
+def test_train_hierarchy_counts_training_fallbacks():
+    ps = train_hierarchy(TINY_ENV, TINY_RL, seed=3)
+    counts = ps.fallback_counts()
+    assert sorted(counts) == [1, 2]
+    # level-2 training drew level-1 opponents in states level 1 never visited
+    assert counts[1] > 0
 
 
 def test_policy_set_level0_matches_rule():
