@@ -11,6 +11,7 @@ report files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -310,34 +311,12 @@ def _fit_all_drivers(
 
 
 def _load_master(args) -> MasterConfig:
-    if getattr(args, "config", None):
-        cfg = MasterConfig.from_json(args.config)
-    else:
-        cfg = MasterConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out_dir is not None:
-        overrides["out_dir"] = args.out_dir
-    if overrides:
-        cfg = MasterConfig.from_dict({**cfg_to_shallow_dict(cfg), **overrides})
-    return cfg
-
-
-def cfg_to_shallow_dict(cfg: MasterConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "out_dir": cfg.out_dir,
-        "env": cfg.env,
-        "rl": cfg.rl,
-        "bank": cfg.bank,
-        "optimizer": cfg.optimizer,
-        "gp": cfg.gp,
-        "sa": cfg.sa,
-        "fit": cfg.fit,
-        "data": cfg.data,
-        "synthesis": cfg.synthesis,
-    }
+    cfg = MasterConfig.from_json(args.config) if args.config else MasterConfig()
+    overrides = {"seed": args.seed, "out_dir": args.out_dir}
+    # replace() re-runs every __post_init__ check on the overridden config
+    return dataclasses.replace(
+        cfg, **{k: v for k, v in overrides.items() if v is not None}
+    )
 
 
 def _out_dir(cfg: MasterConfig) -> Path:
@@ -366,15 +345,8 @@ def cmd_build_gp(args) -> int:
         state_ids = [int(s) for s in args.states.split(",")]
     else:
         if args.n_states is not None:
-            synth = {
-                **cfg_to_shallow_dict(cfg),
-                "synthesis": {
-                    "n_states": args.n_states,
-                    "min_state_visits": cfg.synthesis.min_state_visits,
-                    "drivers": cfg.synthesis.drivers,
-                },
-            }
-            cfg = MasterConfig.from_dict(synth)
+            synth = dataclasses.replace(cfg.synthesis, n_states=args.n_states)
+            cfg = dataclasses.replace(cfg, synthesis=synth)
         state_ids = _select_states(policy_set, cfg)
     cache = _fit_models(cfg, policy_set, state_ids)
     model_dir = Path(args.model_dir) if args.model_dir else out_dir / "models"

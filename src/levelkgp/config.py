@@ -12,12 +12,11 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from .errors import ConfigurationError
 
 DEFAULT_MATERN_LENGTH_SCALES = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
-MAX_COREGIONAL_RANK = 7
 # Cap of the jitter escalation in the GP's Cholesky factorizations.
 MAX_JITTER = 1e-2
 # Bins of the report's level histogram; their ends bound the level search.
@@ -31,14 +30,11 @@ class KernelEntryConfig:
     """One entry of the kernel bank.
 
     ``kind`` is "bias" or "matern32".  ``length_scale`` applies only to
-    the Matern entry and must be positive.  ``rank`` bounds the low-rank
-    part of the coregionalization matrix; None means min(D, 7) where D
-    is the modeled output dimension.
+    the Matern entry and must be positive.
     """
 
     kind: str
     length_scale: Optional[float] = None
-    rank: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in ("bias", "matern32"):
@@ -48,8 +44,6 @@ class KernelEntryConfig:
                 raise ConfigurationError(
                     "matern32 entry needs a positive length_scale"
                 )
-        if self.rank is not None and self.rank < 1:
-            raise ConfigurationError("rank must be at least 1")
 
 
 def default_bank_entries() -> tuple[KernelEntryConfig, ...]:
@@ -69,9 +63,6 @@ class OptimizerConfig:
     restarts: int = 4
     max_iter: int = 200
     seed: int = 0
-    log_variance_bounds: tuple[float, float] = (-12.0, 6.0)
-    weight_bound: float = 5.0
-    raw_kappa_bounds: tuple[float, float] = (-12.0, 6.0)
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -82,16 +73,15 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class GPConfig:
-    """Posterior numerics: training levels and the starting jitter."""
+    """Posterior numerics: training levels and the starting jitter.
+
+    ``MasterConfig`` requires ``levels`` to be 0..rl.max_level in order.
+    """
 
     levels: tuple[float, ...] = (0.0, 1.0, 2.0, 3.0)
     jitter: float = 1e-6
 
     def __post_init__(self):
-        if len(self.levels) < 2:
-            raise ConfigurationError("need at least two training levels")
-        if sorted(set(self.levels)) != sorted(self.levels):
-            raise ConfigurationError("training levels must be distinct")
         if not 0 < self.jitter <= MAX_JITTER:
             raise ConfigurationError(f"require 0 < jitter <= {MAX_JITTER}")
 
@@ -131,10 +121,12 @@ class EnvConfig:
             raise ConfigurationError("need at least two vehicles")
         if self.dt <= 0 or self.ring_length <= 0 or self.speed_max <= 0:
             raise ConfigurationError("dt, ring_length, speed_max must be positive")
-        if list(self.front_gap_edges) != sorted(self.front_gap_edges):
-            raise ConfigurationError("front_gap_edges must be increasing")
-        if list(self.rear_gap_edges) != sorted(self.rear_gap_edges):
-            raise ConfigurationError("rear_gap_edges must be increasing")
+        for key in ("front_gap_edges", "rear_gap_edges"):
+            edges = list(getattr(self, key))
+            if not edges or edges != sorted(edges):
+                raise ConfigurationError(f"{key} must be non-empty and increasing")
+        if self.speed_bin_count < 1:
+            raise ConfigurationError("speed_bin_count must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -184,6 +176,8 @@ class SAConfig:
             raise ConfigurationError("max_steps must be positive")
         if self.level_high <= self.level_low:
             raise ConfigurationError("level_high must exceed level_low")
+        if not self.restart_levels:
+            raise ConfigurationError("restart_levels must be non-empty")
         for lv in self.restart_levels:
             if not self.level_low <= lv <= self.level_high:
                 raise ConfigurationError("restart level outside the level range")
@@ -276,14 +270,26 @@ class MasterConfig:
     synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
 
     def __post_init__(self):
-        if len(self.gp.levels) != self.rl.max_level + 1:
-            raise ConfigurationError("need one gp.levels entry per level 0..rl.max_level")
+        # the GP's inputs are the trained levels themselves, in order
+        expected = tuple(range(self.rl.max_level + 1))
+        if tuple(self.gp.levels) != expected:
+            raise ConfigurationError(
+                f"gp.levels must be {list(expected)}, the levels 0..rl.max_level, "
+                f"got {list(self.gp.levels)}"
+            )
         low, high = LEVEL_INTERVAL_EDGES[0], LEVEL_INTERVAL_EDGES[-1]
         if not (low <= self.sa.level_low and self.sa.level_high <= high):
             raise ConfigurationError(
                 f"sa.level_low and sa.level_high must lie in [{low}, {high}], "
                 "the level range the report bins"
             )
+        for i, spec in enumerate(self.synthesis.drivers):
+            if not self.sa.level_low <= spec.level <= self.sa.level_high:
+                raise ConfigurationError(
+                    f"synthesis.drivers[{i}].level {spec.level} outside "
+                    f"[sa.level_low, sa.level_high] = [{self.sa.level_low}, "
+                    f"{self.sa.level_high}], where the level search cannot reach it"
+                )
 
     @classmethod
     def from_json(cls, path: str | Path) -> "MasterConfig":
@@ -319,19 +325,12 @@ class MasterConfig:
             if key in doc:
                 kwargs[key] = _build(klass, doc[key], key)
         if "bank" in doc:
-            kwargs["bank"] = tuple(
-                _build(KernelEntryConfig, entry, f"bank[{i}]")
-                for i, entry in enumerate(doc["bank"])
-            )
+            kwargs["bank"] = _build_list(KernelEntryConfig, doc["bank"], "bank")
         if "synthesis" in doc:
             synth = doc["synthesis"]
-            if not isinstance(synth, SynthesisConfig):
-                synth = dict(synth)
-                if "drivers" in synth:
-                    synth["drivers"] = tuple(
-                        _build(DriverSpec, d, f"drivers[{i}]")
-                        for i, d in enumerate(synth["drivers"])
-                    )
+            if isinstance(synth, dict) and "drivers" in synth:
+                drivers = _build_list(DriverSpec, synth["drivers"], "synthesis.drivers")
+                synth = {**synth, "drivers": drivers}
             kwargs["synthesis"] = _build(SynthesisConfig, synth, "synthesis")
         return cls(**kwargs)
 
@@ -340,8 +339,6 @@ class MasterConfig:
 
 
 def _build(klass, doc, label: str):
-    if isinstance(doc, klass):
-        return doc
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{label} must be a JSON object")
     known = {f.name for f in dataclasses.fields(klass)}
@@ -358,6 +355,12 @@ def _build(klass, doc, label: str):
         raise ConfigurationError(f"bad value in {label}: {exc}") from exc
 
 
+def _build_list(klass, docs, label: str) -> tuple:
+    if not isinstance(docs, list):
+        raise ConfigurationError(f"{label} must be a JSON list")
+    return tuple(_build(klass, d, f"{label}[{i}]") for i, d in enumerate(docs))
+
+
 def _as_plain(obj):
     if isinstance(obj, dict):
         return {k: _as_plain(v) for k, v in obj.items()}
@@ -365,9 +368,3 @@ def _as_plain(obj):
         return [_as_plain(v) for v in obj]
     return obj
 
-
-def resolve_rank(requested: Optional[int], output_dim: int) -> int:
-    """Effective low-rank width: min(D, 7) unless explicitly set."""
-    if requested is None:
-        return min(output_dim, MAX_COREGIONAL_RANK)
-    return min(requested, output_dim)

@@ -59,14 +59,6 @@ class MixedStrategy:
         return tuple(int(i) for i in np.nonzero(self.coeffs > tol)[0])
 
     @classmethod
-    def pure(cls, level: int, n_levels: int) -> "MixedStrategy":
-        if not 0 <= level < n_levels:
-            raise InputError(f"level {level} outside universe of {n_levels}")
-        c = np.zeros(n_levels)
-        c[level] = 1.0
-        return cls(c)
-
-    @classmethod
     def uniform_over(cls, levels: Sequence[int], n_levels: int) -> "MixedStrategy":
         if not levels:
             raise InputError("need at least one level")
@@ -140,7 +132,9 @@ def brute_force_best_response(
 
     Returns the best utility found and every grid mixture achieving it
     within tie_tol.  The grid contains all pure strategies, so the
-    maximum matches the true value exactly.
+    maximum matches the true value exactly.  The whole grid is scored as
+    one matrix product; only the rows within tie_tol of the maximum
+    become strategies.
     """
     if not 0 < grid_step <= 1:
         raise InputError("grid_step must lie in (0, 1]")
@@ -148,16 +142,9 @@ def brute_force_best_response(
     if abs(units * grid_step - 1.0) > 1e-9:
         raise InputError("grid_step must divide 1")
     n = opponent.n_levels
-    best_value = -np.inf
-    argmax: list[MixedStrategy] = []
-    for combo in simplex_grid(units, n - 1):
-        coeffs = np.zeros(n)
-        coeffs[1:] = np.asarray(combo, dtype=float) / units
-        candidate = MixedStrategy(coeffs)
-        value = mixed_utility(candidate, opponent)
-        if value > best_value + tie_tol:
-            best_value = value
-            argmax = [candidate]
-        elif value >= best_value - tie_tol:
-            argmax.append(candidate)
+    grid = np.array([(0,) + combo for combo in simplex_grid(units, n - 1)]) / units
+    # mixed_utility of each row: responder level j+1 against opponent level j
+    values = grid[:, 1:] @ opponent.coeffs[:-1]
+    best_value = float(values.max())
+    argmax = [MixedStrategy(row) for row in grid[values >= best_value - tie_tol]]
     return best_value, argmax

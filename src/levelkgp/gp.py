@@ -46,7 +46,6 @@ from .config import (
     KernelEntryConfig,
     OptimizerConfig,
     default_bank_entries,
-    resolve_rank,
 )
 from .errors import (
     ConfigurationError,
@@ -215,6 +214,7 @@ class LMCParams:
 
     ``variances`` (Z,), ``length_scales`` (Z,) with inf for the bias
     entry, ``weights`` a tuple of W_z (D, R_z) and ``kappas`` (Z, D).
+    Fits use R_z = D; model files may hold any width.
     Validated on construction, so model files are checked on load; the
     B_z are built once, into ``coregs`` (Z, D, D).
     """
@@ -261,8 +261,9 @@ class LMCParams:
         cls, theta: np.ndarray, entries: Sequence[KernelEntryConfig], dim: int
     ) -> "LMCParams":
         """The parameters at a point of the optimizer's flat vector."""
-        slots, _n_params = _layout(entries, dim)
-        variances, weights, raw_kappas = _unpack(np.asarray(theta, dtype=float), slots, dim)
+        variances, weights, raw_kappas = _unpack(
+            np.asarray(theta, dtype=float), len(entries), dim
+        )
         kappas = [_softplus(raw_kappa) for raw_kappa in raw_kappas]
         return cls(variances, _length_scales(entries), tuple(weights), kappas)
 
@@ -297,8 +298,12 @@ class LMCParams:
 
 # --- parameter vector layout -------------------------------------------------
 #
-# Per bank entry z with rank R_z: [log_variance, W.ravel() (D*R_z), raw_kappa (D)]
+# One slot per bank entry z: [log_variance, W.ravel() (D*D), raw_kappa (D)]
 # kappa = softplus(raw_kappa) keeps the diagonal non-negative.
+
+LOG_VARIANCE_BOUNDS = (-12.0, 6.0)
+WEIGHT_BOUND = 5.0
+RAW_KAPPA_BOUNDS = (-12.0, 6.0)
 
 
 def _softplus(x):
@@ -318,32 +323,20 @@ def _length_scales(entries: Sequence[KernelEntryConfig]) -> np.ndarray:
     return np.array([math.inf if cfg.kind == "bias" else cfg.length_scale for cfg in entries])
 
 
-def _layout(entries: Sequence[KernelEntryConfig], dim: int):
-    slots = []
-    offset = 0
-    for cfg in entries:
-        rank = resolve_rank(cfg.rank, dim)
-        size = 1 + dim * rank + dim
-        slots.append((cfg, rank, offset, size))
-        offset += size
-    return slots, offset
-
-
-def _unpack(theta: np.ndarray, slots, dim: int):
+def _unpack(theta: np.ndarray, n_entries: int, dim: int):
     """Per-entry variances, weights W and raw kappas."""
     variances, weights, raw_kappas = [], [], []
-    for _cfg, rank, offset, size in slots:
-        chunk = theta[offset : offset + size]
+    for chunk in theta.reshape(n_entries, -1):
         variances.append(math.exp(chunk[0]))
-        weights.append(chunk[1 : 1 + dim * rank].reshape(dim, rank))
-        raw_kappas.append(chunk[1 + dim * rank :])
+        weights.append(chunk[1 : 1 + dim * dim].reshape(dim, dim))
+        raw_kappas.append(chunk[1 + dim * dim :])
     return variances, weights, raw_kappas
 
 
-def _neg_lml_and_grad(theta, slots, grams, target, dim, jitter):
+def _neg_lml_and_grad(theta, grams, target, dim, jitter):
     n = grams.shape[1]
     m = dim * n
-    variances, weights, raw_kappas = _unpack(theta, slots, dim)
+    variances, weights, raw_kappas = _unpack(theta, len(grams), dim)
     coregs = [_coreg(w, _softplus(rk)) for w, rk in zip(weights, raw_kappas)]
     sigma = lmc_covariance(grams, variances, coregs, jitter * np.eye(m))
     try:
@@ -361,24 +354,22 @@ def _neg_lml_and_grad(theta, slots, grams, target, dim, jitter):
     gbar = np.outer(alpha, alpha) - sigma_inv
     g4 = gbar.reshape(dim, n, dim, n)
     grad = np.zeros_like(theta)
-    for (_cfg, rank, offset, size), var, w, raw_kappa, b, gram in zip(
-        slots, variances, weights, raw_kappas, coregs, grams
+    for slot, var, w, raw_kappa, b, gram in zip(
+        grad.reshape(len(grams), -1), variances, weights, raw_kappas, coregs, grams
     ):
         scaled = var * gram
         mb = 0.5 * np.einsum("aibj,ij->ab", g4, scaled)
-        grad[offset] = float(np.sum(mb * b))
-        grad[offset + 1 : offset + 1 + dim * rank] = ((mb + mb.T) @ w).ravel()
-        grad[offset + 1 + dim * rank : offset + size] = np.diag(mb) * _sigmoid(
-            raw_kappa
-        )
+        slot[0] = float(np.sum(mb * b))
+        slot[1 : 1 + dim * dim] = ((mb + mb.T) @ w).ravel()
+        slot[1 + dim * dim :] = np.diag(mb) * _sigmoid(raw_kappa)
     return -lml, -grad
 
 
-def _initial_theta(slots, dim, rng, perturb: bool):
+def _initial_theta(n_entries: int, dim: int, rng, perturb: bool):
     pieces = []
-    for cfg, rank, _offset, _size in slots:
+    for _ in range(n_entries):
         log_var = 0.0
-        w = 0.1 * rng.standard_normal((dim, rank))
+        w = 0.1 * rng.standard_normal((dim, dim))
         raw_kappa = np.full(dim, _softplus_inv(0.1))
         if perturb:
             log_var += rng.normal(scale=1.0)
@@ -387,13 +378,9 @@ def _initial_theta(slots, dim, rng, perturb: bool):
     return np.concatenate(pieces)
 
 
-def _bounds(slots, dim, opt: OptimizerConfig):
-    bounds = []
-    for _cfg, rank, _offset, _size in slots:
-        bounds.append(opt.log_variance_bounds)
-        bounds += [(-opt.weight_bound, opt.weight_bound)] * (dim * rank)
-        bounds += [opt.raw_kappa_bounds] * dim
-    return bounds
+def _bounds(n_entries: int, dim: int):
+    slot = [LOG_VARIANCE_BOUNDS] + [(-WEIGHT_BOUND, WEIGHT_BOUND)] * (dim * dim)
+    return (slot + [RAW_KAPPA_BOUNDS] * dim) * n_entries
 
 
 def _validate_training_set(levels, policies):
@@ -559,20 +546,19 @@ def fit_state_gp(
     dim = action_count - 1
     target = residual_target(y, zero_sum_basis(action_count))
 
-    slots, _n_params = _layout(entries, dim)
     grams = unit_grams(x, x, _length_scales(entries))
-    bounds = _bounds(slots, dim, opt)
+    bounds = _bounds(len(entries), dim)
     seed_key = state_id if state_id is not None else 0
     rng = np.random.default_rng(np.random.SeedSequence([opt.seed, seed_key]))
 
     best_theta = None
     best_nll = np.inf
     for restart in range(opt.restarts):
-        theta0 = _initial_theta(slots, dim, rng, perturb=restart > 0)
+        theta0 = _initial_theta(len(entries), dim, rng, perturb=restart > 0)
         result = minimize(
             _neg_lml_and_grad,
             theta0,
-            args=(slots, grams, target, dim, gpc.jitter),
+            args=(grams, target, dim, gpc.jitter),
             jac=True,
             method="L-BFGS-B",
             bounds=bounds,

@@ -260,10 +260,6 @@ class HighwayEnv:
             gap = self.cfg.ring_length
         return gap, entries[i][1]
 
-    def state_of(self, idx: int, lanes=None) -> EnvState:
-        lanes = lanes if lanes is not None else self._lane_order()
-        return self._observe(lanes, idx, self.lane.tolist(), self.pos.tolist(), self.vel.tolist())
-
     def states(self) -> list[EnvState]:
         lanes = self._lane_order()
         lane, pos, vel = self.lane.tolist(), self.pos.tolist(), self.vel.tolist()
@@ -556,14 +552,15 @@ class PolicySet:
         return counts
 
     def policy(self, level: int, sid: int) -> Policy:
-        if level == 0:
-            return level0_policy(self.disc.state_from_id(sid))
-        if level not in self.tables:
+        if level != 0 and level not in self.tables:
             raise InputError(f"no table for level {level}")
         key = (level, sid)
         cached = self._policy_cache.get(key)
         if cached is None:
-            cached = self.tables[level].policy(self._resolve(level, sid))
+            if level == 0:
+                cached = level0_policy(self.disc.state_from_id(sid))
+            else:
+                cached = self.tables[level].policy(self._resolve(level, sid))
             self._policy_cache[key] = cached
         return cached
 

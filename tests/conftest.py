@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from levelkgp.config import default_bank_entries, resolve_rank
+from levelkgp.config import default_bank_entries
 from levelkgp.gp import LMCParams, _length_scales
 
 settings.register_profile(
@@ -31,10 +31,7 @@ def default_bank(output_dim, rng=None):
     return LMCParams(
         variances=np.ones(len(entries)),
         length_scales=_length_scales(entries),
-        weights=tuple(
-            0.1 * rng.standard_normal((output_dim, resolve_rank(e.rank, output_dim)))
-            for e in entries
-        ),
+        weights=tuple(0.1 * rng.standard_normal((output_dim, output_dim)) for _ in entries),
         kappas=np.full((len(entries), output_dim), 0.1),
     )
 

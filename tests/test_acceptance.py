@@ -24,7 +24,6 @@ from levelkgp.config import (
     RLConfig,
     SAConfig,
     default_bank_entries,
-    resolve_rank,
 )
 from levelkgp.data import synthesize_driver
 from levelkgp.errors import NumericalError
@@ -273,10 +272,7 @@ def test_acceptance_7_kernel_validity():
         levels = np.sort(rng.uniform(0.0, 3.0, size=int(rng.integers(3, 9))))
         dim = int(rng.integers(2, 7))
         variances = 10 ** rng.uniform(-1.0, 0.5, size=len(entries))
-        weights = [
-            rng.normal(0.0, 0.5, size=(dim, resolve_rank(e.rank, dim)))
-            for e in entries
-        ]
+        weights = [rng.normal(0.0, 0.5, size=(dim, dim)) for _ in entries]
         kappas = [10 ** rng.uniform(-2.0, -0.3, size=dim) for _ in entries]
         bank = LMCParams(variances, _length_scales(entries), tuple(weights), kappas)
         sigma = bank.covariance(levels, levels)

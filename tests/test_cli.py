@@ -1,13 +1,17 @@
+import dataclasses
 import json
 import logging
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from levelkgp import cli
 from levelkgp.cli import (
     LEVEL_INTERVAL_EDGES,
     _grid_bin,
     build_report,
-    cfg_to_shallow_dict,
     level_interval_index,
     main,
     write_report,
@@ -15,6 +19,10 @@ from levelkgp.cli import (
 from levelkgp.config import MasterConfig
 from levelkgp.errors import ConfigurationError, InputError
 from levelkgp.fitting import DriverReport, FitResult
+from levelkgp.gp import ModelCache
+from levelkgp.levelk import N_ACTIONS, PolicySet, QTable
+
+DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
 
 
 def _result(state_id, level, success, crit=0.5):
@@ -166,10 +174,111 @@ def test_write_report_empty_inputs(tmp_path):
 # -- config loading ----------------------------------------------------------------
 
 
-def test_master_config_round_trips_through_shallow_dict():
-    cfg = MasterConfig()
-    again = MasterConfig.from_dict(cfg_to_shallow_dict(cfg))
-    assert again == cfg
+def _desk_with(section, values):
+    """configs/desk.json with one section's keys overridden."""
+    doc = json.loads(DESK_CONFIG.read_text())
+    doc[section] = {**doc.get(section, {}), **values}
+    return doc
+
+
+# each loaded, then crashed after training or ran with the level axis reversed;
+# the value is the section, its overriding keys and the key the error names
+BROKEN_CONFIGS = {
+    "sa.restart_levels": ("sa", {"restart_levels": []}, "restart_levels"),
+    "env.speed_bin_count": ("env", {"speed_bin_count": 0}, "speed_bin_count"),
+    "env.front_gap_edges": ("env", {"front_gap_edges": []}, "front_gap_edges"),
+    "env.rear_gap_edges": ("env", {"rear_gap_edges": []}, "rear_gap_edges"),
+    "gp.levels": ("gp", {"levels": [3, 2, 1, 0]}, "gp.levels"),
+    "synthesis.drivers[].level": (
+        "synthesis",
+        {"drivers": [{"driver_id": "far", "level": 7.0, "samples_per_state": 10}]},
+        "synthesis.drivers[0].level",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BROKEN_CONFIGS))
+def test_master_config_rejects_broken_run_at_load(key):
+    section, values, named = BROKEN_CONFIGS[key]
+    with pytest.raises(ConfigurationError, match=re.escape(named)):
+        MasterConfig.from_dict(_desk_with(section, values))
+
+
+@pytest.mark.parametrize("key", sorted(BROKEN_CONFIGS))
+def test_pipeline_rejects_broken_config_before_training(key, tmp_path, capsys, caplog):
+    section, values, _ = BROKEN_CONFIGS[key]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(_desk_with(section, values)))
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="levelkgp"):
+        code = main(["pipeline", "--config", str(path), "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not any("pipeline stage" in r.getMessage() for r in caplog.records)
+    assert not (out / "qtables.json").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"optimizer": {"weight_bound": -1}}, "weight_bound"),
+        ({"optimizer": {"log_variance_bounds": [-1, 1]}}, "log_variance_bounds"),
+        ({"optimizer": {"raw_kappa_bounds": [-1, 1]}}, "raw_kappa_bounds"),
+        ({"bank": [{"kind": "bias", "rank": 2}]}, "rank"),
+    ],
+)
+def test_master_config_rejects_removed_knobs(doc, key):
+    with pytest.raises(ConfigurationError, match=key):
+        MasterConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc", [{"env": [1]}, {"bank": {"kind": "bias"}}, {"synthesis": {"drivers": 3}},
+            {"synthesis": [["n_states", 2]]}]
+)
+def test_master_config_rejects_sections_of_the_wrong_type(doc):
+    with pytest.raises(ConfigurationError):
+        MasterConfig.from_dict(doc)
+
+
+def _write_tiny_qtables(path):
+    """Levels 1..3 that each know state 0, saved for the default env."""
+    tables = {
+        k: QTable(k, N_ACTIONS, {0: np.zeros(N_ACTIONS)}, {0: 10}) for k in (1, 2, 3)
+    }
+    PolicySet(MasterConfig().env, tables).save(path)
+
+
+def test_cli_overrides_keep_other_fields_and_rerun_load_checks(tmp_path, monkeypatch, capsys):
+    base = MasterConfig.from_json(DESK_CONFIG)
+    qtables = tmp_path / "qtables.json"
+    _write_tiny_qtables(qtables)
+    seen = []
+
+    def fake_fit(cfg, policy_set, state_ids):
+        seen.append((cfg, state_ids))
+        return ModelCache()
+
+    monkeypatch.setattr(cli, "_fit_models", fake_fit)
+    out = tmp_path / "out"
+    argv = ["build-gp", "--config", str(DESK_CONFIG), "--qtables", str(qtables),
+            "--seed", "11", "--out-dir", str(out)]
+    assert main(argv + ["--n-states", "1"]) == 0
+    want = dataclasses.replace(
+        base, seed=11, out_dir=str(out),
+        synthesis=dataclasses.replace(base.synthesis, n_states=1),
+    )
+    assert seen == [(want, [0])]
+    assert seen[0][0].to_dict() == {
+        **base.to_dict(), "seed": 11, "out_dir": str(out),
+        "synthesis": {**base.to_dict()["synthesis"], "n_states": 1},
+    }
+    capsys.readouterr()
+    # the overridden config passes through the same checks as a loaded one
+    assert main(argv + ["--n-states", "0"]) == 1
+    assert "n_states must be positive" in capsys.readouterr().err
+    assert len(seen) == 1
 
 
 def test_master_config_rejects_unknown_keys(tmp_path):

@@ -16,6 +16,35 @@ from levelkgp.game import (
 from levelkgp.gp import Policy
 
 
+def pure(level: int, n_levels: int) -> MixedStrategy:
+    """All mass on one level of the universe 0..n_levels-1."""
+    if not 0 <= level < n_levels:
+        raise InputError(f"level {level} outside universe of {n_levels}")
+    c = np.zeros(n_levels)
+    c[level] = 1.0
+    return MixedStrategy(c)
+
+
+def brute_force_loop(opponent, grid_step, tie_tol=TIE_TOL):
+    """Oracle: build and score one MixedStrategy per grid point, keeping
+    every point within tie_tol of the running maximum."""
+    units = round(1.0 / grid_step)
+    n = opponent.n_levels
+    best_value = -np.inf
+    argmax = []
+    for combo in simplex_grid(units, n - 1):
+        coeffs = np.zeros(n)
+        coeffs[1:] = np.asarray(combo, dtype=float) / units
+        candidate = MixedStrategy(coeffs)
+        value = mixed_utility(candidate, opponent)
+        if value > best_value + tie_tol:
+            best_value = value
+            argmax = [candidate]
+        elif value >= best_value - tie_tol:
+            argmax.append(candidate)
+    return best_value, argmax
+
+
 def pure_utility(responder_level: int, opponent_level: int) -> float:
     """Oracle payoff of pure levels: 1 when the responder reasons exactly
     one step deeper, else 0."""
@@ -60,12 +89,12 @@ def test_mixed_strategy_validates_simplex():
 
 
 def test_pure_and_uniform_constructors():
-    p = MixedStrategy.pure(2, 4)
+    p = pure(2, 4)
     assert p.coeffs.tolist() == [0.0, 0.0, 1.0, 0.0]
     u = MixedStrategy.uniform_over([1, 3], 4)
     assert u.coeffs.tolist() == [0.0, 0.5, 0.0, 0.5]
     with pytest.raises(InputError):
-        MixedStrategy.pure(5, 4)
+        pure(5, 4)
     with pytest.raises(InputError):
         MixedStrategy.uniform_over([], 4)
 
@@ -148,7 +177,7 @@ def test_no_pure_response_beats_the_value(seed):
     result = best_response_set(opponent)
     n = opponent.n_levels
     for level in range(1, n):
-        u = mixed_utility(MixedStrategy.pure(level, n), opponent)
+        u = mixed_utility(pure(level, n), opponent)
         assert u <= result.value + 1e-12
         if level not in result.levels:
             assert u < result.value - 1e-12
@@ -195,6 +224,32 @@ def test_brute_force_agrees_with_closed_form(seed):
     assert abs(value - closed.value) <= 1e-12
     for strategy in argmax:
         assert set(strategy.support()) <= set(closed.levels)
+
+
+@pytest.mark.parametrize(
+    "coeffs, grid_step",
+    [
+        ([0.2, 0.5, 0.3, 0.0], 0.05),
+        ([0.4, 0.4, 0.2, 0.0], 0.1),  # two tied best levels
+        ([0.25, 0.25, 0.25, 0.25, 0.0], 0.25),  # four tied best levels
+        ([1.0, 0.0, 0.0], 0.2),
+    ],
+)
+def test_brute_force_matches_loop_oracle_on_ties(coeffs, grid_step):
+    opponent = MixedStrategy(coeffs)
+    value, argmax = brute_force_best_response(opponent, grid_step=grid_step)
+    want_value, want = brute_force_loop(opponent, grid_step)
+    assert abs(value - want_value) <= 1e-15
+    assert [s.coeffs.tolist() for s in argmax] == [s.coeffs.tolist() for s in want]
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_brute_force_matches_loop_oracle(seed):
+    opponent = _opponent_strategy(seed)
+    value, argmax = brute_force_best_response(opponent, grid_step=0.05)
+    want_value, want = brute_force_loop(opponent, 0.05)
+    assert abs(value - want_value) <= 1e-15
+    assert [s.coeffs.tolist() for s in argmax] == [s.coeffs.tolist() for s in want]
 
 
 def test_brute_force_rejects_bad_grid_step():

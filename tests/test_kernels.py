@@ -7,12 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from levelkgp import gp
-from levelkgp.config import default_bank_entries, resolve_rank
+from levelkgp.config import default_bank_entries
 from levelkgp.errors import ConfigurationError, NumericalError, ParameterError
 from levelkgp.gp import (
     LMCParams,
     _initial_theta,
-    _layout,
     _length_scales,
     _neg_lml_and_grad,
     jittered_cholesky,
@@ -182,9 +181,8 @@ def test_objective_covariance_matches_params_covariance(rng, monkeypatch):
     dim = policies.shape[1] - 1
     resid = (policies - 1.0 / policies.shape[1]) @ gp.zero_sum_basis(policies.shape[1])
     entries = default_bank_entries()
-    slots, _n_params = _layout(entries, dim)
     grams = unit_grams(LEVELS, LEVELS, _length_scales(entries))
-    theta = _initial_theta(slots, dim, rng, perturb=True)
+    theta = _initial_theta(len(entries), dim, rng, perturb=True)
     real = gp.lmc_covariance
     seen = []
 
@@ -193,7 +191,7 @@ def test_objective_covariance_matches_params_covariance(rng, monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(gp, "lmc_covariance", spy)
-    _neg_lml_and_grad(theta, slots, grams, resid.T.ravel(), dim, 1e-6)
+    _neg_lml_and_grad(theta, grams, resid.T.ravel(), dim, 1e-6)
     monkeypatch.undo()
     assert len(seen) == 1
     params = LMCParams.from_theta(theta, entries, dim)
@@ -234,13 +232,6 @@ def test_default_bank_entries_config():
     assert len(entries) == 7
     assert entries[0].kind == "bias"
     assert all(e.kind == "matern32" for e in entries[1:])
-
-
-def test_resolve_rank_defaults_to_min_dim_seven():
-    assert resolve_rank(None, 4) == 4
-    assert resolve_rank(None, 12) == 7
-    assert resolve_rank(3, 12) == 3
-    assert resolve_rank(9, 4) == 4
 
 
 def test_bank_serialization_round_trip(rng):
