@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -46,6 +47,12 @@ class KernelEntryConfig:
                 )
 
 
+def _require_int(value, key: str, low: int) -> None:
+    """Reject anything but an integer >= low; bools and floats too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigurationError(f"{key} must be an integer >= {low}, got {value!r}")
+
+
 def default_bank_entries() -> tuple[KernelEntryConfig, ...]:
     """One bias entry plus six Matern entries on a fixed length-scale grid."""
     entries = [KernelEntryConfig(kind="bias")]
@@ -69,6 +76,7 @@ class OptimizerConfig:
             raise ConfigurationError("optimizer needs at least one restart")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be positive")
+        _require_int(self.seed, "optimizer.seed", 0)
 
 
 @dataclass(frozen=True)
@@ -117,8 +125,8 @@ class EnvConfig:
     def __post_init__(self):
         if self.n_lanes < 2:
             raise ConfigurationError("need at least two lanes")
-        if self.n_vehicles < 2:
-            raise ConfigurationError("need at least two vehicles")
+        _require_int(self.n_vehicles, "env.n_vehicles", 2)
+        _require_int(self.episode_steps, "env.episode_steps", 1)
         if self.dt <= 0 or self.ring_length <= 0 or self.speed_max <= 0:
             raise ConfigurationError("dt, ring_length, speed_max must be positive")
         for key in ("front_gap_edges", "rear_gap_edges"):
@@ -143,6 +151,7 @@ class RLConfig:
     def __post_init__(self):
         if self.max_level < 1:
             raise ConfigurationError("max_level must be at least 1")
+        _require_int(self.episodes, "rl.episodes", 1)
         if not 0 < self.learning_rate <= 1:
             raise ConfigurationError("learning_rate must lie in (0, 1]")
         if not 0 <= self.discount < 1:
@@ -270,6 +279,9 @@ class MasterConfig:
     synthesis: SynthesisConfig = field(default_factory=SynthesisConfig)
 
     def __post_init__(self):
+        _require_int(self.seed, "seed", 0)
+        if not isinstance(self.out_dir, str):
+            raise ConfigurationError(f"out_dir must be a string, got {self.out_dir!r}")
         # the GP's inputs are the trained levels themselves, in order
         expected = tuple(range(self.rl.max_level + 1))
         if tuple(self.gp.levels) != expected:

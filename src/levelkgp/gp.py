@@ -25,6 +25,11 @@ The bank is fixed in shape (one bias entry plus Matern-3/2 entries on a
 length-scale grid); only the variances and coregionalization weights
 and kappa are learned, by maximizing the log marginal likelihood with
 L-BFGS-B from several restarts, using the analytic gradient.
+
+The objective batches the bank: one decode of theta, every B_z from one
+batched product, every gradient slot from one einsum.  Sigma is still
+summed entry by entry in bank order from jitter*I, because float addition
+is not associative and the fits, which stop at max_iter, would move.
 """
 
 from __future__ import annotations
@@ -174,15 +179,11 @@ def unit_grams(x, y, length_scales) -> np.ndarray:
 
 
 def lmc_covariance(grams, variances, coregs, out: np.ndarray) -> np.ndarray:
-    """Add sum_z var_z kron(B_z, k_z) into ``out`` and return it."""
+    """Add sum_z var_z kron(B_z, k_z) into ``out`` in bank order and return it."""
     for var, coreg, gram in zip(variances, coregs, grams):
-        out += var * np.kron(coreg, gram)
+        # kron(B, k) as np.kron forms it: the products B[a, b] k[i, j] laid out (a, i, b, j)
+        out += (var * (coreg[:, None, :, None] * gram[None, :, None, :])).reshape(out.shape)
     return out
-
-
-def _coreg(weights: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-    """B = W W^T + diag(kappa), symmetric PSD for kappa >= 0."""
-    return weights @ weights.T + np.diag(kappa)
 
 
 def jittered_cholesky(
@@ -246,7 +247,8 @@ class LMCParams:
         object.__setattr__(self, "length_scales", scales)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "kappas", np.vstack(kappas))
-        coregs = np.stack([_coreg(w, k) for w, k in zip(weights, kappas)])
+        # B_z = W_z W_z^T + diag(kappa_z), PSD; built per entry as W_z may be narrow
+        coregs = np.stack([w @ w.T + np.diag(k) for w, k in zip(weights, kappas)])
         object.__setattr__(self, "coregs", coregs)
 
     def covariance(self, x, y) -> np.ndarray:
@@ -261,11 +263,10 @@ class LMCParams:
         cls, theta: np.ndarray, entries: Sequence[KernelEntryConfig], dim: int
     ) -> "LMCParams":
         """The parameters at a point of the optimizer's flat vector."""
-        variances, weights, raw_kappas = _unpack(
+        variances, weights, raw_kappas = _decode(
             np.asarray(theta, dtype=float), len(entries), dim
         )
-        kappas = [_softplus(raw_kappa) for raw_kappa in raw_kappas]
-        return cls(variances, _length_scales(entries), tuple(weights), kappas)
+        return cls(variances, _length_scales(entries), tuple(weights), _softplus(raw_kappas))
 
     def to_dict(self) -> dict:
         """The ``bank`` section of a version-1 model file."""
@@ -323,21 +324,21 @@ def _length_scales(entries: Sequence[KernelEntryConfig]) -> np.ndarray:
     return np.array([math.inf if cfg.kind == "bias" else cfg.length_scale for cfg in entries])
 
 
-def _unpack(theta: np.ndarray, n_entries: int, dim: int):
-    """Per-entry variances, weights W and raw kappas."""
-    variances, weights, raw_kappas = [], [], []
-    for chunk in theta.reshape(n_entries, -1):
-        variances.append(math.exp(chunk[0]))
-        weights.append(chunk[1 : 1 + dim * dim].reshape(dim, dim))
-        raw_kappas.append(chunk[1 + dim * dim :])
-    return variances, weights, raw_kappas
+def _decode(theta: np.ndarray, n_entries: int, dim: int):
+    """Variances (a list), W (Z, D, D) and raw kappas (Z, D), views of theta."""
+    rows = theta.reshape(n_entries, -1)
+    variances = [math.exp(log_var) for log_var in rows[:, 0]]
+    weights = rows[:, 1 : 1 + dim * dim].reshape(n_entries, dim, dim)
+    return variances, weights, rows[:, 1 + dim * dim :]
 
 
 def _neg_lml_and_grad(theta, grams, target, dim, jitter):
-    n = grams.shape[1]
+    n_entries, n = grams.shape[:2]
     m = dim * n
-    variances, weights, raw_kappas = _unpack(theta, len(grams), dim)
-    coregs = [_coreg(w, _softplus(rk)) for w, rk in zip(weights, raw_kappas)]
+    variances, weights, raw_kappas = _decode(theta, n_entries, dim)
+    coregs = weights @ weights.transpose(0, 2, 1)
+    diag = np.arange(dim)
+    coregs[:, diag, diag] += _softplus(raw_kappas)
     sigma = lmc_covariance(grams, variances, coregs, jitter * np.eye(m))
     try:
         chol = np.linalg.cholesky(sigma)
@@ -352,17 +353,13 @@ def _neg_lml_and_grad(theta, grams, target, dim, jitter):
     sigma_inv = cho_solve((chol, True), np.eye(m))
     # dLML/dtheta = 0.5 tr((alpha alpha^T - Sigma^-1) dSigma/dtheta)
     gbar = np.outer(alpha, alpha) - sigma_inv
-    g4 = gbar.reshape(dim, n, dim, n)
-    grad = np.zeros_like(theta)
-    for slot, var, w, raw_kappa, b, gram in zip(
-        grad.reshape(len(grams), -1), variances, weights, raw_kappas, coregs, grams
-    ):
-        scaled = var * gram
-        mb = 0.5 * np.einsum("aibj,ij->ab", g4, scaled)
-        slot[0] = float(np.sum(mb * b))
-        slot[1 : 1 + dim * dim] = ((mb + mb.T) @ w).ravel()
-        slot[1 + dim * dim :] = np.diag(mb) * _sigmoid(raw_kappa)
-    return -lml, -grad
+    scaled = np.asarray(variances)[:, None, None] * grams
+    mb = 0.5 * np.einsum("aibj,zij->zab", gbar.reshape(dim, n, dim, n), scaled)
+    grad = np.empty((n_entries, theta.size // n_entries))
+    grad[:, 0] = np.sum(mb * coregs, axis=(1, 2))
+    grad[:, 1 : 1 + dim * dim] = ((mb + mb.transpose(0, 2, 1)) @ weights).reshape(n_entries, -1)
+    grad[:, 1 + dim * dim :] = np.diagonal(mb, axis1=1, axis2=2) * _sigmoid(raw_kappas)
+    return -lml, -grad.ravel()
 
 
 def _initial_theta(n_entries: int, dim: int, rng, perturb: bool):

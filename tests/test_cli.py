@@ -175,15 +175,27 @@ def test_write_report_empty_inputs(tmp_path):
 
 
 def _desk_with(section, values):
-    """configs/desk.json with one section's keys overridden."""
+    """configs/desk.json with one section's keys (top-level keys for None) overridden."""
     doc = json.loads(DESK_CONFIG.read_text())
+    if section is None:
+        return {**doc, **values}
     doc[section] = {**doc.get(section, {}), **values}
     return doc
 
 
-# each loaded, then crashed after training or ran with the level axis reversed;
+# each loaded, then crashed in a later stage or ran with the level axis reversed;
 # the value is the section, its overriding keys and the key the error names
 BROKEN_CONFIGS = {
+    "optimizer.seed": ("optimizer", {"seed": -1}, "optimizer.seed"),
+    "optimizer.seed (bool)": ("optimizer", {"seed": True}, "optimizer.seed"),
+    "optimizer.seed (float)": ("optimizer", {"seed": 2.0}, "optimizer.seed"),
+    "seed (string)": (None, {"seed": "x"}, "seed must be"),
+    "seed (float)": (None, {"seed": 1.5}, "seed must be"),
+    "seed (bool)": (None, {"seed": False}, "seed must be"),
+    "out_dir": (None, {"out_dir": 5}, "out_dir"),
+    "rl.episodes": ("rl", {"episodes": 0}, "rl.episodes"),
+    "env.episode_steps": ("env", {"episode_steps": 0}, "env.episode_steps"),
+    "env.n_vehicles": ("env", {"n_vehicles": 2.5}, "env.n_vehicles"),
     "sa.restart_levels": ("sa", {"restart_levels": []}, "restart_levels"),
     "env.speed_bin_count": ("env", {"speed_bin_count": 0}, "speed_bin_count"),
     "env.front_gap_edges": ("env", {"front_gap_edges": []}, "front_gap_edges"),

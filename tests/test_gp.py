@@ -8,28 +8,32 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
-from levelkgp.config import MAX_JITTER, GPConfig, OptimizerConfig
+from levelkgp.config import MAX_JITTER, GPConfig, OptimizerConfig, default_bank_entries
 from levelkgp.errors import (
     DegeneratePolicyError,
     InputError,
     MissingStateError,
 )
 from levelkgp.gp import (
+    LOG_2PI,
     ModelCache,
     Policy,
     StateGP,
     _initial_theta,
     _length_scales,
     _neg_lml_and_grad,
+    _sigmoid,
+    _softplus,
     fit_state_gp,
     gaussian_log_marginal,
     jittered_cholesky,
+    residual_target,
     shift_normalize,
     unit_grams,
     zero_sum_basis,
 )
 
-from conftest import V1_MODEL, default_bank, random_policies
+from conftest import V1_MODEL, default_bank, kron_covariance, random_policies
 
 LEVELS = np.array([0.0, 1.0, 2.0, 3.0])
 # SHA-256 of three default fits, recorded before the per-entry rank and the
@@ -146,8 +150,6 @@ def test_objective_gradient_matches_finite_differences(rng):
     dim = policies.shape[1] - 1
     resid = (policies - 1.0 / policies.shape[1]) @ zero_sum_basis(policies.shape[1])
     target = resid.T.ravel()
-    from levelkgp.config import default_bank_entries
-
     entries = default_bank_entries()
     grams = unit_grams(LEVELS, LEVELS, _length_scales(entries))
     theta = _initial_theta(len(entries), dim, rng, perturb=True)
@@ -160,6 +162,62 @@ def test_objective_gradient_matches_finite_differences(rng):
         lo, _ = _neg_lml_and_grad(theta - bump, grams, target, dim, 1e-6)
         fd = (hi - lo) / (2 * eps)
         assert grad[idx] == pytest.approx(fd, abs=1e-5, rel=1e-4)
+
+
+def _neg_lml_and_grad_loop(theta, grams, target, dim, jitter):
+    """The per-entry objective that the batched one replaced: its bit-for-bit oracle."""
+    n = grams.shape[1]
+    m = dim * n
+    variances, weights, raw_kappas = [], [], []
+    for chunk in theta.reshape(len(grams), -1):
+        variances.append(math.exp(chunk[0]))
+        weights.append(chunk[1 : 1 + dim * dim].reshape(dim, dim))
+        raw_kappas.append(chunk[1 + dim * dim :])
+    coregs = [w @ w.T + np.diag(_softplus(rk)) for w, rk in zip(weights, raw_kappas)]
+    sigma = kron_covariance(grams, variances, coregs, jitter * np.eye(m))
+    try:
+        chol = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        return 1e12, np.zeros_like(theta)
+    alpha = cho_solve((chol, True), target)
+    lml = -0.5 * target @ alpha - np.log(np.diag(chol)).sum() - 0.5 * m * LOG_2PI
+    sigma_inv = cho_solve((chol, True), np.eye(m))
+    g4 = (np.outer(alpha, alpha) - sigma_inv).reshape(dim, n, dim, n)
+    grad = np.zeros_like(theta)
+    for slot, var, w, raw_kappa, b, gram in zip(
+        grad.reshape(len(grams), -1), variances, weights, raw_kappas, coregs, grams
+    ):
+        mb = 0.5 * np.einsum("aibj,ij->ab", g4, var * gram)
+        slot[0] = float(np.sum(mb * b))
+        slot[1 : 1 + dim * dim] = ((mb + mb.T) @ w).ravel()
+        slot[1 + dim * dim :] = np.diag(mb) * _sigmoid(raw_kappa)
+    return -lml, -grad
+
+
+@given(
+    n_actions=st.integers(min_value=3, max_value=6),
+    n_levels=st.integers(min_value=2, max_value=5),
+    n_entries=st.integers(min_value=1, max_value=7),
+    perturb=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_objective_matches_per_entry_loop_bit_for_bit(
+    n_actions, n_levels, n_entries, perturb, seed
+):
+    rng = np.random.default_rng(seed)
+    dim = n_actions - 1
+    levels = np.arange(float(n_levels))
+    target = residual_target(
+        random_policies(rng, n_levels=n_levels, n_actions=n_actions), zero_sum_basis(n_actions)
+    )
+    grams = unit_grams(levels, levels, _length_scales(default_bank_entries()[:n_entries]))
+    theta = _initial_theta(n_entries, dim, rng, perturb=perturb)
+    # scaled and shifted, as the points L-BFGS-B visits away from the start
+    theta = np.clip(theta * rng.uniform(0.5, 5.0) + rng.normal(0.0, 0.5, theta.size), -5, 5)
+    value, grad = _neg_lml_and_grad(theta, grams, target, dim, 1e-6)
+    want_value, want_grad = _neg_lml_and_grad_loop(theta, grams, target, dim, 1e-6)
+    assert value == want_value
+    assert np.array_equal(grad, want_grad)
 
 
 def log_marginal_likelihood(levels, policies, params, jitter=1e-6):

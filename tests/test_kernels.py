@@ -18,7 +18,7 @@ from levelkgp.gp import (
     unit_grams,
 )
 
-from conftest import V1_MODEL, default_bank, random_policies
+from conftest import V1_MODEL, default_bank, kron_covariance, random_policies
 
 SQRT3 = math.sqrt(3.0)
 LEVELS = np.array([0.0, 1.0, 2.0, 3.0])
@@ -174,6 +174,35 @@ def test_lmc_self_covariance_symmetric_psd(seed):
     sigma = bank.covariance(x, x)
     assert np.allclose(sigma, sigma.T, atol=1e-12)
     assert np.linalg.eigvalsh(sigma).min() >= -1e-8
+
+
+@given(
+    dim=st.integers(min_value=2, max_value=5),
+    n_queries=st.integers(min_value=1, max_value=301),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_covariance_matches_kron_loop_bit_for_bit(dim, n_queries, seed):
+    rng = np.random.default_rng(seed)
+    entries = default_bank_entries()
+    # model files may hold any width of W_z, narrower than D too
+    params = LMCParams(
+        variances=np.exp(rng.normal(size=len(entries))),
+        length_scales=_length_scales(entries),
+        weights=tuple(rng.standard_normal((dim, int(rng.integers(1, dim + 1)))) for _ in entries),
+        kappas=np.abs(rng.standard_normal((len(entries), dim))),
+    )
+    queries = rng.uniform(-0.5, 3.5, size=n_queries)
+    for x, y in ((queries, LEVELS), (LEVELS, LEVELS), (queries[:1], queries[:1])):
+        grams = unit_grams(x, y, params.length_scales)
+        zeros = np.zeros((dim * x.size, dim * y.size))
+        want = kron_covariance(grams, params.variances, params.coregs, zeros)
+        assert np.array_equal(params.covariance(x, y), want)
+    # the objective's form: python-float variances on top of jitter * I
+    grams = unit_grams(LEVELS, LEVELS, params.length_scales)
+    variances = [float(v) for v in params.variances]
+    start = 1e-6 * np.eye(dim * LEVELS.size)
+    got = gp.lmc_covariance(grams, variances, params.coregs, start.copy())
+    assert np.array_equal(got, kron_covariance(grams, variances, params.coregs, start.copy()))
 
 
 def test_objective_covariance_matches_params_covariance(rng, monkeypatch):
