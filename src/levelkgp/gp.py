@@ -43,6 +43,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrs
 from scipy.optimize import minimize
 
 from .config import (
@@ -344,13 +345,16 @@ def _neg_lml_and_grad(theta, grams, target, dim, jitter):
         chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         return 1e12, np.zeros_like(theta)
-    alpha = cho_solve((chol, True), target)
+    # cho_solve's LAPACK call without its finiteness checks: theta and the target are finite
+    alpha, info = dpotrs(chol, target, lower=1)
+    sigma_inv, info_inv = dpotrs(chol, np.eye(m), lower=1)
+    if info or info_inv:
+        raise NumericalError(f"dpotrs failed with info {info or info_inv}")
     lml = (
         -0.5 * target @ alpha
         - np.log(np.diag(chol)).sum()
         - 0.5 * m * LOG_2PI
     )
-    sigma_inv = cho_solve((chol, True), np.eye(m))
     # dLML/dtheta = 0.5 tr((alpha alpha^T - Sigma^-1) dSigma/dtheta)
     gbar = np.outer(alpha, alpha) - sigma_inv
     scaled = np.asarray(variances)[:, None, None] * grams
@@ -433,8 +437,7 @@ class StateGP:
         state_id: Optional[int] = None,
         lml: Optional[float] = None,
     ):
-        self.levels = np.asarray(levels, dtype=float).ravel()
-        self.policies = np.asarray(policies, dtype=float)
+        self.levels, self.policies = _validate_training_set(levels, policies)
         self.params = params
         self.state_id = state_id
         self.action_count = self.policies.shape[1]

@@ -19,7 +19,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,12 +36,12 @@ N_ACTIONS = len(ACTIONS)
 REL_SLOWER, REL_STEADY, REL_FASTER = range(3)
 
 
-@dataclass(frozen=True)
-class EnvState:
+class EnvState(NamedTuple):
     """Discretized ego observation.
 
     rear bins use 0 for "no adjacent lane on that side"; gap bins start
-    at 1 once the lane exists.
+    at 1 once the lane exists.  A state is a tuple, so it compares equal
+    to a plain tuple with the same values.
     """
 
     lane: int
@@ -52,14 +52,7 @@ class EnvState:
     speed_bin: int
 
     def fields(self) -> tuple[int, ...]:
-        return (
-            self.lane,
-            self.front_gap_bin,
-            self.front_rel_speed_bin,
-            self.rear_left_bin,
-            self.rear_right_bin,
-            self.speed_bin,
-        )
+        return tuple(self)
 
 
 class Discretizer:
@@ -78,10 +71,11 @@ class Discretizer:
             cfg.speed_bin_count,
         )
         self.n_states = math.prod(self.cardinalities)
+        self.speed_width = cfg.speed_max / cfg.speed_bin_count
 
     def state_id(self, state: EnvState) -> int:
         sid = 0
-        for value, card in zip(state.fields(), self.cardinalities):
+        for value, card in zip(state, self.cardinalities):
             if not 0 <= value < card:
                 raise InputError(f"state field {value} outside radix {card}")
             sid = sid * card + value
@@ -97,27 +91,6 @@ class Discretizer:
         lane, fg, rs, rl, rr, sp = reversed(values)
         return EnvState(lane, fg, rs, rl, rr, sp)
 
-    # -- feature binning ---------------------------------------------------
-
-    def front_gap_bin(self, gap: float) -> int:
-        return int(bisect.bisect_right(self.cfg.front_gap_edges, gap))
-
-    def rel_speed_bin(self, rel: float) -> int:
-        if rel < -self.cfg.rel_speed_threshold:
-            return REL_SLOWER
-        if rel > self.cfg.rel_speed_threshold:
-            return REL_FASTER
-        return REL_STEADY
-
-    def rear_bin(self, gap: Optional[float]) -> int:
-        if gap is None:
-            return 0
-        return 1 + int(bisect.bisect_right(self.cfg.rear_gap_edges, gap))
-
-    def speed_bin(self, speed: float) -> int:
-        width = self.cfg.speed_max / self.cfg.speed_bin_count
-        return min(int(speed / width), self.cfg.speed_bin_count - 1)
-
     def discretize(
         self,
         lane: int,
@@ -127,13 +100,21 @@ class Discretizer:
         rear_right_gap: Optional[float],
         speed: float,
     ) -> EnvState:
+        threshold = self.cfg.rel_speed_threshold
+        if front_rel_speed < -threshold:
+            rel = REL_SLOWER
+        elif front_rel_speed > threshold:
+            rel = REL_FASTER
+        else:
+            rel = REL_STEADY
+        rear_edges = self.cfg.rear_gap_edges
         return EnvState(
-            lane=lane,
-            front_gap_bin=self.front_gap_bin(front_gap),
-            front_rel_speed_bin=self.rel_speed_bin(front_rel_speed),
-            rear_left_bin=self.rear_bin(rear_left_gap),
-            rear_right_bin=self.rear_bin(rear_right_gap),
-            speed_bin=self.speed_bin(speed),
+            lane,
+            bisect.bisect_right(self.cfg.front_gap_edges, front_gap),
+            rel,
+            0 if rear_left_gap is None else 1 + bisect.bisect_right(rear_edges, rear_left_gap),
+            0 if rear_right_gap is None else 1 + bisect.bisect_right(rear_edges, rear_right_gap),
+            min(int(speed / self.speed_width), self.cfg.speed_bin_count - 1),
         )
 
     # -- inverse map, used when emitting synthetic trajectories -------------
@@ -161,8 +142,7 @@ class Discretizer:
         return edges[-1] * 1.5
 
     def representative_speed(self, b: int) -> float:
-        width = self.cfg.speed_max / self.cfg.speed_bin_count
-        return (b + 0.5) * width
+        return (b + 0.5) * self.speed_width
 
     def representative_features(self, state: EnvState) -> dict:
         return {
@@ -195,9 +175,6 @@ class HighwayEnv:
         self.cfg = cfg
         self.disc = Discretizer(cfg)
         self.rng = rng
-        self.pos = np.zeros(cfg.n_vehicles)
-        self.vel = np.zeros(cfg.n_vehicles)
-        self.lane = np.zeros(cfg.n_vehicles, dtype=int)
         self._accel_of = {
             MAINTAIN: 0.0,
             ACCELERATE: cfg.accel,
@@ -214,6 +191,7 @@ class HighwayEnv:
         self.pos = (np.arange(cfg.n_vehicles) * spacing + jitter) % cfg.ring_length
         self.vel = self.rng.uniform(0.3 * cfg.speed_max, 0.8 * cfg.speed_max, cfg.n_vehicles)
         self.lane = self.rng.integers(0, cfg.n_lanes, cfg.n_vehicles)
+        self._observed = None
 
     # -- geometry ------------------------------------------------------------
     #
@@ -221,12 +199,18 @@ class HighwayEnv:
     # index, built once per states() call and per phase of step().  A
     # search bisects the lane's positions and steps over the querying
     # vehicle itself; that finds the same neighbour as bisecting the lane
-    # without it.
+    # without it.  states() keeps the order it built, each vehicle's
+    # front neighbour, and the lane and position lists they came from.
+    # The next step() reuses the order for its lane-change phase only if
+    # both lists still compare equal, since callers may write env.pos or
+    # env.lane, also in place, in between; when no vehicle then changes
+    # lane, the front neighbours are its leaders too.  step() and reset()
+    # drop what states() kept.
 
-    def _lane_order(self) -> list[tuple[list[tuple[float, int]], list[float]]]:
+    def _lane_order(self, pos: list, lane: list) -> list[tuple[list, list[float]]]:
         lanes: list[list[tuple[float, int]]] = [[] for _ in range(self.cfg.n_lanes)]
-        for idx, (pos, lane) in enumerate(zip(self.pos.tolist(), self.lane.tolist())):
-            lanes[lane].append((pos, idx))
+        for idx, (p, k) in enumerate(zip(pos, lane)):
+            lanes[k].append((p, idx))
         order = []
         for entries in lanes:
             entries.sort()
@@ -261,22 +245,25 @@ class HighwayEnv:
         return gap, entries[i][1]
 
     def states(self) -> list[EnvState]:
-        lanes = self._lane_order()
         lane, pos, vel = self.lane.tolist(), self.pos.tolist(), self.vel.tolist()
-        return [self._observe(lanes, i, lane, pos, vel) for i in range(self.cfg.n_vehicles)]
-
-    def _observe(self, lanes, idx: int, lane: list, pos: list, vel: list) -> EnvState:
-        own_lane = lane[idx]
-        own_pos = pos[idx]
-        front_gap, leader = self._ahead(lanes, own_lane, own_pos, idx)
-        rel = 0.0 if leader is None else vel[leader] - vel[idx]
-        rear_left = None
-        if own_lane - 1 >= 0:
-            rear_left, _ = self._behind(lanes, own_lane - 1, own_pos, idx)
-        rear_right = None
-        if own_lane + 1 < self.cfg.n_lanes:
-            rear_right, _ = self._behind(lanes, own_lane + 1, own_pos, idx)
-        return self.disc.discretize(own_lane, front_gap, rel, rear_left, rear_right, vel[idx])
+        lanes = self._lane_order(pos, lane)
+        fronts = []
+        top_lane = self.cfg.n_lanes - 1
+        discretize = self.disc.discretize
+        out = []
+        for idx, (own_lane, own_pos, own_vel) in enumerate(zip(lane, pos, vel)):
+            front_gap, leader = front = self._ahead(lanes, own_lane, own_pos, idx)
+            fronts.append(front)
+            rel = 0.0 if leader is None else vel[leader] - own_vel
+            rear_left = None
+            if own_lane > 0:
+                rear_left, _ = self._behind(lanes, own_lane - 1, own_pos, idx)
+            rear_right = None
+            if own_lane < top_lane:
+                rear_right, _ = self._behind(lanes, own_lane + 1, own_pos, idx)
+            out.append(discretize(own_lane, front_gap, rel, rear_left, rear_right, own_vel))
+        self._observed = (lane, pos, lanes, fronts)
+        return out
 
     def _lane_change_ok(self, lanes, idx: int, target: int) -> bool:
         if not 0 <= target < self.cfg.n_lanes:
@@ -310,7 +297,12 @@ class HighwayEnv:
         n = cfg.n_vehicles
         if len(actions) != n:
             raise InputError("one action per vehicle required")
-        lanes = self._lane_order()
+        pos, lane = self.pos.tolist(), self.lane.tolist()
+        observed, self._observed = self._observed, None
+        if observed is not None and observed[0] == lane and observed[1] == pos:
+            lanes, leaders = observed[2], observed[3]
+        else:
+            lanes, leaders = self._lane_order(pos, lane), None
         changed = np.zeros(n, dtype=bool)
         for idx in range(n):
             if actions[idx] == CHANGE_LANE:
@@ -318,12 +310,13 @@ class HighwayEnv:
                 if target is not None:
                     self.lane[idx] = target
                     changed[idx] = True
+                    leaders = None
         # leaders are fixed after the lane-change phase, before anyone moves
-        lanes = self._lane_order()
-        pos = self.pos.tolist()
+        if leaders is None:
+            lane = self.lane.tolist()
+            lanes = self._lane_order(pos, lane)
+            leaders = [self._ahead(lanes, lane[idx], pos[idx], idx) for idx in range(n)]
         vel = self.vel.tolist()
-        lane = self.lane.tolist()
-        leaders = [self._ahead(lanes, lane[idx], pos[idx], idx) for idx in range(n)]
         for idx in range(n):
             a = self._accel_of[int(actions[idx])]
             vel[idx] = min(max(vel[idx] + a * cfg.dt, 0.0), cfg.speed_max)
@@ -405,7 +398,7 @@ class QTable:
     @classmethod
     def from_dict(cls, doc: dict) -> "QTable":
         try:
-            return cls(
+            table = cls(
                 level=int(doc["level"]),
                 action_count=int(doc["action_count"]),
                 q={int(s): np.asarray(v, dtype=float) for s, v in doc["q"].items()},
@@ -413,12 +406,24 @@ class QTable:
             )
         except KeyError as exc:
             raise SchemaError(f"q-table document missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed q-table document: {exc}") from exc
+        for sid, values in table.q.items():
+            where = f"level {table.level} state {sid}"
+            if values.shape != (table.action_count,):
+                raise SchemaError(
+                    f"{where}: {values.size} q values for {table.action_count} actions"
+                )
+            if not np.all(np.isfinite(values)):
+                raise SchemaError(f"{where}: q values must be finite")
+        return table
 
 
 class PolicySampler:
     """Opponent that draws actions from per-state policies.
 
-    Each state's policy becomes one cumulative row, built once.  A draw
+    Each state's policy becomes one cumulative row, built once and keyed
+    on the state itself, so ``state_id`` runs only for a new state.  A draw
     takes one ``rng.random()`` and finds it in the row, which is what
     ``rng.choice(N_ACTIONS, p=probs)`` does: the same action and the same
     generator state after it.
@@ -427,15 +432,14 @@ class PolicySampler:
     def __init__(self, disc: Discretizer, policy_of: Callable[[int], Policy]):
         self.disc = disc
         self.policy_of = policy_of
-        self._rows: dict[int, list[float]] = {}
+        self._rows: dict[EnvState, list[float]] = {}
 
     def __call__(self, state: EnvState, rng: np.random.Generator) -> int:
-        sid = self.disc.state_id(state)
-        row = self._rows.get(sid)
+        row = self._rows.get(state)
         if row is None:
-            cdf = self.policy_of(sid).probs.cumsum()
+            cdf = self.policy_of(self.disc.state_id(state)).probs.cumsum()
             cdf /= cdf[-1]
-            row = self._rows[sid] = cdf.tolist()
+            row = self._rows[state] = cdf.tolist()
         return bisect.bisect_right(row, rng.random())
 
 
@@ -450,7 +454,8 @@ def train_level(
     rng = np.random.default_rng(np.random.SeedSequence([seed, level]))
     env = HighwayEnv(env_cfg, rng)
     disc = env.disc
-    q: dict[int, np.ndarray] = {}
+    # python float rows while learning: float64 arithmetic without numpy's call overhead
+    q: dict[int, list[float]] = {}
     visits: dict[int, int] = {}
     for episode in range(rl_cfg.episodes):
         frac = episode / max(rl_cfg.episodes - 1, 1)
@@ -459,12 +464,12 @@ def train_level(
         states = env.states()
         sid = disc.state_id(states[0])
         for _ in range(env_cfg.episode_steps):
-            values = q.setdefault(sid, np.zeros(N_ACTIONS))
+            values = q.setdefault(sid, [0.0] * N_ACTIONS)
             visits[sid] = visits.get(sid, 0) + 1
             if rng.random() < eps:
                 action = int(rng.integers(N_ACTIONS))
             else:
-                action = int(np.argmax(values))
+                action = values.index(max(values))
             actions = [action]
             for other in range(1, env_cfg.n_vehicles):
                 actions.append(opponent(states[other], rng))
@@ -472,11 +477,12 @@ def train_level(
             states = env.states()
             next_sid = disc.state_id(states[0])
             next_values = q.get(next_sid)
-            bootstrap = 0.0 if next_values is None else float(next_values.max())
+            bootstrap = 0.0 if next_values is None else max(next_values)
             target = float(result.rewards[0]) + rl_cfg.discount * bootstrap
             values[action] += rl_cfg.learning_rate * (target - values[action])
             sid = next_sid
-    return QTable(level=level, action_count=N_ACTIONS, q=q, visits=visits)
+    rows = {s: np.array(values) for s, values in q.items()}
+    return QTable(level=level, action_count=N_ACTIONS, q=rows, visits=visits)
 
 
 class PolicySet:
@@ -602,7 +608,14 @@ class PolicySet:
             raise SchemaError(
                 "q-tables were trained on a different discretization"
             )
+        if not isinstance(doc.get("tables"), dict):
+            raise SchemaError("q-table document needs a 'tables' object")
         tables = {int(k): QTable.from_dict(t) for k, t in doc["tables"].items()}
+        for k, table in tables.items():
+            if table.action_count != N_ACTIONS:
+                raise SchemaError(
+                    f"level {k} table has {table.action_count} actions, expected {N_ACTIONS}"
+                )
         return cls(env_cfg, tables)
 
     @classmethod

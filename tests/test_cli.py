@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import logging
+import math
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -468,3 +470,71 @@ def test_pipeline_no_train_fails_cleanly_without_artifacts(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "train-levels" in err
+
+
+def _smoke_copy(smoke_config, tmp_path):
+    """Config and outputs of the smoke pipeline, copied under tmp_path."""
+    path, out = smoke_config
+    if not (out / "summary.json").exists():
+        assert main(["pipeline", "--config", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["out_dir"] = str(tmp_path / "out")
+    shutil.copytree(out, tmp_path / "out")
+    copy = tmp_path / "smoke.json"
+    copy.write_text(json.dumps(doc))
+    return copy, tmp_path / "out"
+
+
+def _assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    for fragment in fragments:
+        assert fragment in err[0]
+
+
+def _short_row(tables):
+    tables["1"]["q"][next(iter(tables["1"]["q"]))] = [0.0, 1.0, 2.0]
+
+
+def _narrow_action_count(tables):
+    tables["2"]["action_count"] = 3
+
+
+def _nan_value(tables):
+    tables["3"]["q"][next(iter(tables["3"]["q"]))][0] = math.nan
+
+
+# each loaded before and failed later, in fit-drivers or with a traceback
+BROKEN_QTABLES = {
+    "no tables": (lambda doc: doc.pop("tables"), "tables"),
+    "short q row": (lambda doc: _short_row(doc["tables"]), "level 1 state"),
+    "action_count": (lambda doc: _narrow_action_count(doc["tables"]), "level 2 state"),
+    "non-finite q": (lambda doc: _nan_value(doc["tables"]), "level 3 state"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BROKEN_QTABLES))
+def test_pipeline_no_train_rejects_broken_qtables(key, smoke_config, tmp_path, capsys):
+    path, out = _smoke_copy(smoke_config, tmp_path)
+    corrupt, named = BROKEN_QTABLES[key]
+    doc = json.loads((out / "qtables.json").read_text())
+    corrupt(doc)
+    (out / "qtables.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(path), "--no-train"]) == 1
+    _assert_one_error_line(capsys, "train-levels", named)
+
+
+@pytest.mark.parametrize("field,index", [("levels", (1,)), ("policies", (2, 0))])
+def test_pipeline_no_train_rejects_model_with_nan(field, index, smoke_config, tmp_path, capsys):
+    path, out = _smoke_copy(smoke_config, tmp_path)
+    model = sorted((out / "models").glob("state_*.json"))[0]
+    doc = json.loads(model.read_text())
+    target = doc[field]
+    for i in index[:-1]:
+        target = target[i]
+    target[index[-1]] = math.nan
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["pipeline", "--config", str(path), "--no-train"]) == 1
+    _assert_one_error_line(capsys, "build-gp", "must be finite")

@@ -377,6 +377,19 @@ def test_hand_written_v1_model_loads_and_writes_back_unchanged(tmp_path):
     assert np.abs(model.predict_mean(V1_MODEL["levels"]) - training).max() <= 1e-3
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("levels", [0.0, math.nan, 2.0, 3.0], "training levels must be finite"),
+        ("policies", [[math.nan, 0.5, 0.5]] + V1_MODEL["policies"][1:], "policies must be finite"),
+    ],
+)
+def test_model_load_rejects_nan_training_data(field, value, message):
+    # np.linalg.cholesky does not raise on NaN; the check must come first
+    with pytest.raises(InputError, match=message):
+        StateGP.from_dict({**V1_MODEL, field: value})
+
+
 def test_model_load_rejects_jitter_used_above_cap(tmp_path):
     at_cap = StateGP.from_dict({**V1_MODEL, "jitter_used": MAX_JITTER})
     assert at_cap.jitter_used == MAX_JITTER

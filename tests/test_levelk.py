@@ -80,32 +80,144 @@ def test_state_id_rejects_out_of_range():
         DISC.state_from_id(DISC.n_states)
 
 
+# The per-bin helpers that Discretizer.discretize absorbed: its binning oracle.
+
+
+def front_gap_bin(cfg: EnvConfig, gap: float) -> int:
+    return int(bisect.bisect_right(cfg.front_gap_edges, gap))
+
+
+def rel_speed_bin(cfg: EnvConfig, rel: float) -> int:
+    if rel < -cfg.rel_speed_threshold:
+        return 0
+    if rel > cfg.rel_speed_threshold:
+        return 2
+    return 1
+
+
+def rear_bin(cfg: EnvConfig, gap: Optional[float]) -> int:
+    if gap is None:
+        return 0
+    return 1 + int(bisect.bisect_right(cfg.rear_gap_edges, gap))
+
+
+def speed_bin(cfg: EnvConfig, speed: float) -> int:
+    width = cfg.speed_max / cfg.speed_bin_count
+    return min(int(speed / width), cfg.speed_bin_count - 1)
+
+
+def binned(cfg, lane, front_gap, rel, rear_left, rear_right, speed) -> EnvState:
+    return EnvState(
+        lane,
+        front_gap_bin(cfg, front_gap),
+        rel_speed_bin(cfg, rel),
+        rear_bin(cfg, rear_left),
+        rear_bin(cfg, rear_right),
+        speed_bin(cfg, speed),
+    )
+
+
+def _features(front_gap=30.0, rel=0.0, rear_left=10.0, rear_right=10.0, speed=10.0):
+    return DISC.discretize(1, front_gap, rel, rear_left, rear_right, speed)
+
+
 def test_front_gap_bins_split_at_edges():
-    assert DISC.front_gap_bin(7.999) == 0
-    assert DISC.front_gap_bin(8.0) == 1
-    assert DISC.front_gap_bin(19.999) == 1
-    assert DISC.front_gap_bin(20.0) == 2
-    assert DISC.front_gap_bin(40.0) == 3
-    assert DISC.front_gap_bin(500.0) == 3
+    gaps = (7.999, 8.0, 19.999, 20.0, 40.0, 500.0)
+    assert [_features(front_gap=g).front_gap_bin for g in gaps] == [0, 1, 1, 2, 3, 3]
 
 
 def test_rel_speed_bins():
-    assert DISC.rel_speed_bin(-1.5) == 0
-    assert DISC.rel_speed_bin(0.0) == 1
-    assert DISC.rel_speed_bin(1.5) == 2
+    rels = (-1.5, 0.0, 1.5)
+    assert [_features(rel=r).front_rel_speed_bin for r in rels] == [0, 1, 2]
 
 
 def test_rear_bins_reserve_zero_for_missing_lane():
-    assert DISC.rear_bin(None) == 0
-    assert DISC.rear_bin(2.0) == 1
-    assert DISC.rear_bin(10.0) == 2
-    assert DISC.rear_bin(100.0) == 3
+    gaps = (None, 2.0, 10.0, 100.0)
+    assert [_features(rear_left=g).rear_left_bin for g in gaps] == [0, 1, 2, 3]
+    assert [_features(rear_right=g).rear_right_bin for g in gaps] == [0, 1, 2, 3]
 
 
 def test_speed_bins_cover_range():
-    assert DISC.speed_bin(0.0) == 0
-    assert DISC.speed_bin(ENV.speed_max) == ENV.speed_bin_count - 1
-    assert DISC.speed_bin(ENV.speed_max + 5) == ENV.speed_bin_count - 1
+    speeds = (0.0, ENV.speed_max, ENV.speed_max + 5)
+    top = ENV.speed_bin_count - 1
+    assert [_features(speed=v).speed_bin for v in speeds] == [0, top, top]
+
+
+BINNING_CONFIGS = [
+    ENV,
+    EnvConfig(n_lanes=2, n_vehicles=4),
+    EnvConfig(n_lanes=4, speed_bin_count=1, rel_speed_threshold=0.35),
+    EnvConfig(
+        n_lanes=4,
+        speed_bin_count=9,
+        front_gap_edges=(0.5, 3.0),
+        rear_gap_edges=(4.0,),
+    ),
+]
+
+
+def _edge_values(edges):
+    """Each edge, the doubles either side of it, zero and a far value."""
+    values = [0.0, 10.0 * edges[-1]]
+    for edge in edges:
+        values += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+    return values
+
+
+def _speed_values(cfg):
+    width = cfg.speed_max / cfg.speed_bin_count
+    values = [cfg.speed_max, math.nextafter(cfg.speed_max, 0.0), cfg.speed_max + 5.0]
+    for k in range(cfg.speed_bin_count + 1):
+        values += [math.nextafter(k * width, v) for v in (-math.inf, math.inf)] + [k * width]
+    return values
+
+
+def _rel_values(cfg):
+    thr = cfg.rel_speed_threshold
+    return [0.0, -thr, thr] + [math.nextafter(v, w) for v in (-thr, thr) for w in (0.0, 2 * v)]
+
+
+@pytest.mark.parametrize("cfg", BINNING_CONFIGS, ids=range(len(BINNING_CONFIGS)))
+def test_discretize_matches_binning_oracle_on_edges(cfg):
+    disc = Discretizer(cfg)
+    rears = [None] + _edge_values(cfg.rear_gap_edges)
+    for lane in range(cfg.n_lanes):
+        for front_gap in _edge_values(cfg.front_gap_edges):
+            for rel in _rel_values(cfg):
+                for rear_left, rear_right in zip(rears, reversed(rears)):
+                    for speed in _speed_values(cfg):
+                        features = (lane, front_gap, rel, rear_left, rear_right, speed)
+                        assert disc.discretize(*features) == binned(cfg, *features), features
+
+
+@st.composite
+def _binning_cases(draw):
+    cfg = draw(st.sampled_from(BINNING_CONFIGS))
+    gap = st.floats(min_value=0.0, max_value=1e3)
+    rear = st.one_of(st.none(), gap, st.sampled_from(_edge_values(cfg.rear_gap_edges)))
+    thr = cfg.rel_speed_threshold
+    features = (
+        draw(st.integers(min_value=0, max_value=cfg.n_lanes - 1)),
+        draw(st.one_of(gap, st.sampled_from(_edge_values(cfg.front_gap_edges)))),
+        draw(st.one_of(st.floats(-3 * thr, 3 * thr), st.sampled_from(_rel_values(cfg)))),
+        draw(rear),
+        draw(rear),
+        draw(st.one_of(st.floats(0.0, cfg.speed_max), st.sampled_from(_speed_values(cfg)))),
+    )
+    return cfg, features
+
+
+@given(_binning_cases())
+def test_discretize_matches_binning_oracle(case):
+    cfg, features = case
+    assert Discretizer(cfg).discretize(*features) == binned(cfg, *features)
+
+
+def test_env_state_is_a_tuple_of_its_fields():
+    state = EnvState(2, 1, 0, 3, 0, 1)
+    assert state == (2, 1, 0, 3, 0, 1)
+    assert state.fields() == (2, 1, 0, 3, 0, 1)
+    assert DISC.state_id((2, 1, 0, 3, 0, 1)) == DISC.state_id(state)
 
 
 def test_representative_features_round_trip_every_state():
@@ -383,6 +495,61 @@ def test_env_geometry_matches_list_oracle_on_tied_positions():
         _assert_same_env(fast, slow)
 
 
+def _swap_first_two(env):
+    env.pos[[0, 1]] = env.pos[[1, 0]]
+
+
+def _shift_first_lane(env):
+    env.lane[0] = (env.lane[0] + 1) % env.cfg.n_lanes
+
+
+def _assign_rolled_pos(env):
+    env.pos = np.roll(env.pos, 1)
+
+
+def _assign_reversed_lanes(env):
+    env.lane = env.lane[::-1].copy()
+
+
+def _assign_same_values(env):
+    env.pos = env.pos.copy()
+    env.lane = env.lane.copy()
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        _swap_first_two,
+        _shift_first_lane,
+        _assign_rolled_pos,
+        _assign_reversed_lanes,
+        _assign_same_values,
+    ],
+)
+def test_step_after_writes_to_pos_and_lane_matches_list_oracle(write):
+    # states() keeps its lane order for the next step(); a write in between,
+    # in place or by assignment, must not let a stale order through
+    cfg = EnvConfig(n_lanes=3, n_vehicles=8, ring_length=80.0)
+    fast = HighwayEnv(cfg, np.random.default_rng(5))
+    slow = ListGeometryEnv(cfg, np.random.default_rng(5))
+    actions_rng = np.random.default_rng(6)
+    for step in range(120):
+        if step % 40 == 0:
+            fast.reset()
+            slow.reset()
+        fast.states()
+        slow.states()
+        if step % 3:
+            write(fast)
+            write(slow)
+        actions = list(actions_rng.choice(N_ACTIONS, cfg.n_vehicles, p=[0.2, 0.2, 0.1, 0.1, 0.4]))
+        a, b = fast.step(actions), slow.step(actions)
+        assert np.array_equal(a.rewards, b.rewards)
+        assert np.array_equal(a.collided, b.collided)
+        assert np.array_equal(a.lane_changed, b.lane_changed)
+        _assert_same_env(fast, slow)
+
+
 # -- training ------------------------------------------------------------------------
 
 
@@ -416,6 +583,53 @@ def test_policy_sampler_matches_rng_choice_draw_for_draw(rng):
             got = sampler(DISC.state_from_id(sid), ours)
             assert got == int(theirs.choice(N_ACTIONS, p=policy.probs))
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class IdKeyedSampler:
+    """The sampler that looked every state up by id: oracle for the state-keyed one."""
+
+    def __init__(self, disc, policy_of):
+        self.disc = disc
+        self.policy_of = policy_of
+        self._rows = {}
+
+    def __call__(self, state, rng):
+        sid = self.disc.state_id(state)
+        row = self._rows.get(sid)
+        if row is None:
+            cdf = self.policy_of(sid).probs.cumsum()
+            cdf /= cdf[-1]
+            row = self._rows[sid] = cdf.tolist()
+        return bisect.bisect_right(row, rng.random())
+
+
+def test_policy_sampler_keyed_on_state_matches_id_keyed_oracle(rng):
+    policies = _sampler_policies(rng)
+    asked = {"state": [], "id": []}
+
+    def policy_of(key):
+        def lookup(sid):
+            asked[key].append(sid)
+            return policies[sid % len(policies)]
+
+        return lookup
+
+    ours = PolicySampler(DISC, policy_of("state"))
+    oracle = IdKeyedSampler(DISC, policy_of("id"))
+    env = HighwayEnv(ENV, np.random.default_rng(3))
+    ours_rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
+    for step in range(300):
+        if step % 60 == 0:
+            env.reset()
+        states = env.states()
+        # rollout states repeat; decoded ones are equal states built apart
+        states += [DISC.state_from_id(int(s)) for s in rng.integers(0, DISC.n_states, 3)]
+        draws = [ours(state, ours_rng) for state in states]
+        assert draws == [oracle(state, oracle_rng) for state in states]
+        env.step(draws[: ENV.n_vehicles])
+    assert ours_rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert asked["state"] == asked["id"]
+    assert len(asked["state"]) == len(set(asked["state"]))
 
 
 class _FixedUniforms:
@@ -598,6 +812,63 @@ def test_policy_set_load_rejects_other_discretization(tmp_path):
     other = EnvConfig(speed_bin_count=6)
     with pytest.raises(SchemaError):
         PolicySet.load(path, other)
+
+
+def _qtable_doc():
+    q = {7: np.arange(N_ACTIONS, dtype=float), 42: np.zeros(N_ACTIONS)}
+    table = QTable(level=1, action_count=N_ACTIONS, q=q, visits=dict.fromkeys(q, 2))
+    return json.loads(json.dumps(PolicySet(ENV, {1: table}).to_dict()))
+
+
+def test_policy_set_from_dict_round_trips_a_valid_document():
+    ps = PolicySet.from_dict(_qtable_doc(), ENV)
+    assert np.array_equal(ps.tables[1].q[7], np.arange(N_ACTIONS, dtype=float))
+
+
+def test_policy_set_load_rejects_document_without_tables():
+    doc = _qtable_doc()
+    del doc["tables"]
+    with pytest.raises(SchemaError, match="tables"):
+        PolicySet.from_dict(doc, ENV)
+    with pytest.raises(SchemaError, match="tables"):
+        PolicySet.from_dict({**doc, "tables": []}, ENV)
+
+
+def test_policy_set_load_rejects_short_q_rows():
+    doc = _qtable_doc()
+    doc["tables"]["1"]["q"]["42"] = [0.0, 1.0, 2.0]
+    with pytest.raises(SchemaError, match="level 1 state 42: 3 q values for 5 actions"):
+        PolicySet.from_dict(doc, ENV)
+
+
+def test_policy_set_load_rejects_action_count_that_does_not_match_rows():
+    doc = _qtable_doc()
+    doc["tables"]["1"]["action_count"] = 3
+    with pytest.raises(SchemaError, match="level 1 state 7: 5 q values for 3 actions"):
+        PolicySet.from_dict(doc, ENV)
+
+
+def test_policy_set_load_rejects_tables_over_another_action_set():
+    doc = _qtable_doc()
+    doc["tables"]["1"]["action_count"] = 3
+    doc["tables"]["1"]["q"] = {"7": [0.0, 1.0, 2.0]}
+    with pytest.raises(SchemaError, match="level 1 table has 3 actions, expected 5"):
+        PolicySet.from_dict(doc, ENV)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_policy_set_load_rejects_non_finite_q_values(bad):
+    doc = _qtable_doc()
+    doc["tables"]["1"]["q"]["42"][3] = bad
+    with pytest.raises(SchemaError, match="level 1 state 42: q values must be finite"):
+        PolicySet.from_dict(doc, ENV)
+
+
+def test_policy_set_load_rejects_non_numeric_q_entries():
+    doc = _qtable_doc()
+    doc["tables"]["1"]["q"]["42"][0] = "fast"
+    with pytest.raises(SchemaError, match="malformed q-table"):
+        PolicySet.from_dict(doc, ENV)
 
 
 def evaluate_policy(policy_fn, env_cfg, opponent, episodes, seed) -> float:
