@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from levelkgp.config import DriverSpec, EnvConfig, RLConfig
-from levelkgp.data import synthesize_driver
+from levelkgp.data import record_from_actions, sample_driver_actions
 from levelkgp.fitting import LevelFitter
 from levelkgp.gp import ModelCache, fit_state_gp
 from levelkgp.levelk import train_hierarchy
@@ -71,12 +71,13 @@ def main() -> int:
             level=true_level,
             samples_per_state=args.samples,
         )
-        record = synthesize_driver(
+        actions = sample_driver_actions(
             spec,
             lambda sid, l=true_level: cache.get(sid).policy_at(l),
             state_ids,
             seed=args.seed,
         )
+        record = record_from_actions(spec.driver_id, actions)
         errors = []
         for sid in state_ids:
             result = fitter.fit_state(spec.driver_id, sid, record.counts[sid])

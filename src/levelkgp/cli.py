@@ -1,11 +1,11 @@
 """Command line interface.
 
 Subcommands cover the individual stages (train-levels, build-gp,
-synthesize, ingest, fit-drivers, best-response, report) and a pipeline
-command that chains them inside one output directory.  Stage failures
-surface as StageError naming the stage.  Given a fixed master config,
-the pipeline is deterministic: rerunning it produces byte-identical
-report files.
+synthesize, ingest, fit-drivers, report), best-response, and a pipeline
+command that runs the stages in order inside one output directory.  In
+the pipeline, stage failures surface as StageError naming the stage.
+Given a fixed master config, the pipeline is deterministic: rerunning it
+produces byte-identical report files.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from . import data as data_mod
 from . import fitting, game
 from .config import LEVEL_INTERVAL_EDGES, MasterConfig
-from .errors import InputError, LevelkgpError, StageError
+from .errors import InputError, LevelkgpError, StageError, file_section, read_json
 from .gp import ModelCache, fit_state_gp
 from .levelk import PolicySet, train_hierarchy
 
@@ -179,7 +179,23 @@ def write_report(doc: dict, out_dir: Path) -> list[Path]:
     return paths
 
 
-# -- stage helpers --------------------------------------------------------------
+# -- stages -------------------------------------------------------------------
+#
+# Each stage reads its inputs from the output directory, or from the paths
+# its subcommand's flags name, writes its results there and returns the
+# document its subcommand prints.  ``pipeline`` runs the STAGES in order, so
+# the output directory is the only hand-off between them.
+
+
+def _flag(args, name: str):
+    """The subcommand's flag ``name``; unset (None) under ``pipeline``,
+    which has none of the stage flags."""
+    return getattr(args, name, None)
+
+
+def _path(args, name: str, default: Path) -> Path:
+    value = _flag(args, name)
+    return Path(value) if value else default
 
 
 def _select_states(policy_set: PolicySet, cfg: MasterConfig) -> list[int]:
@@ -218,23 +234,47 @@ def _fit_models(
     return cache
 
 
-def _make_fitter(
-    cfg: MasterConfig, policy_set: PolicySet, cache: ModelCache
-) -> fitting.LevelFitter:
-    return fitting.LevelFitter(
-        observation_set_builder=policy_set.discrete_policies,
-        discrete_levels=cfg.gp.levels,
-        bank_entries=cfg.bank,
-        optimizer=cfg.optimizer,
-        gp_config=cfg.gp,
-        fit_cfg=cfg.fit,
-        sa_cfg=cfg.sa,
-        master_seed=cfg.seed,
-        cache=cache,
-    )
+def train_levels(cfg: MasterConfig, out_dir: Path, args) -> dict:
+    """Train levels 1..K into qtables.json; ``--no-train`` loads and checks it."""
+    path = _path(args, "out", out_dir / "qtables.json")
+    if _flag(args, "no_train"):
+        policy_set = PolicySet.load(path, cfg.env)
+    else:
+        policy_set = train_hierarchy(cfg.env, cfg.rl, cfg.seed)
+        for level, count in policy_set.fallback_counts().items():
+            logger.info(
+                "level-%d table: %d states fell back to the nearest trained state",
+                level,
+                count,
+            )
+        policy_set.save(path)
+    per_level = {k: len(t.q) for k, t in sorted(policy_set.tables.items())}
+    return {"qtables": str(path), "states_per_level": per_level}
 
 
-def _synthesize(cfg: MasterConfig, cache: ModelCache, out_dir: Path) -> dict:
+def build_gp(cfg: MasterConfig, out_dir: Path, args) -> dict:
+    """Fit one model per selected state into models/; ``--no-train`` loads
+    and checks them."""
+    model_dir = _path(args, "model_dir", out_dir / "models")
+    if _flag(args, "no_train"):
+        cache = ModelCache.load_dir(model_dir)
+    else:
+        policy_set = PolicySet.load(_path(args, "qtables", out_dir / "qtables.json"), cfg.env)
+        if _flag(args, "states"):
+            state_ids = [int(s) for s in args.states.split(",")]
+        else:
+            if _flag(args, "n_states") is not None:
+                synth = dataclasses.replace(cfg.synthesis, n_states=args.n_states)
+                cfg = dataclasses.replace(cfg, synthesis=synth)
+            state_ids = _select_states(policy_set, cfg)
+        cache = _fit_models(cfg, policy_set, state_ids)
+        cache.save_dir(model_dir)
+    return {"model_dir": str(model_dir), "n_models": len(cache)}
+
+
+def synthesize(cfg: MasterConfig, out_dir: Path, args) -> dict:
+    """Write one trajectory CSV per configured driver and the manifest."""
+    cache = ModelCache.load_dir(_path(args, "model_dir", out_dir / "models"))
     state_ids = cache.state_ids()
     traj_dir = out_dir / "trajectories"
     traj_dir.mkdir(parents=True, exist_ok=True)
@@ -255,29 +295,30 @@ def _synthesize(cfg: MasterConfig, cache: ModelCache, out_dir: Path) -> dict:
                 "csv": str(csv_path.relative_to(out_dir)),
             }
         )
-    with open(out_dir / "synthesis_manifest.json", "w") as fh:
+    path = out_dir / "synthesis_manifest.json"
+    with open(path, "w") as fh:
         json.dump(manifest, fh, sort_keys=True)
-    return manifest
+    return {"manifest": str(path), "n_drivers": len(manifest["drivers"])}
 
 
 def _ingest_manifest(
-    cfg: MasterConfig, manifest: dict, out_dir: Path
-) -> dict[str, fitting.DriverRecord]:
+    cfg: MasterConfig, out_dir: Path
+) -> tuple[dict[str, fitting.DriverRecord], data_mod.IngestSummary]:
+    """The records of the drivers in synthesis_manifest.json, keyed by driver id."""
+    manifest = read_json(out_dir / "synthesis_manifest.json")
+    with file_section("synthesis_manifest.json drivers"):
+        drivers = [
+            (e["driver_id"], out_dir / e["csv"], str(e["vehicle_id"]))
+            for e in manifest["drivers"]
+        ]
     records: dict[str, fitting.DriverRecord] = {}
     combined = data_mod.IngestSummary()
-    for entry in manifest["drivers"]:
-        path = out_dir / entry["csv"]
+    for driver_id, path, key in drivers:
         got, summary = data_mod.ingest_trajectories(path, cfg.env, cfg.data)
-        key = str(entry["vehicle_id"])
         if key not in got:
-            raise InputError(
-                f"no transitions for vehicle {key} in {path}"
-            )
-        rec = got[key]
-        records[entry["driver_id"]] = fitting.DriverRecord(
-            driver_id=entry["driver_id"],
-            action_count=rec.action_count,
-            counts=rec.counts,
+            raise InputError(f"no transitions for vehicle {key} in {path}")
+        records[driver_id] = fitting.DriverRecord(
+            driver_id=driver_id, action_count=got[key].action_count, counts=got[key].counts
         )
         combined.rows_total += summary.rows_total
         combined.rows_accepted += summary.rows_accepted
@@ -289,22 +330,67 @@ def _ingest_manifest(
             combined.reject_reasons[reason] = (
                 combined.reject_reasons.get(reason, 0) + count
             )
-    with open(out_dir / "ingest_summary.json", "w") as fh:
-        json.dump(combined.to_dict(), fh, sort_keys=True)
-    return records
+    return records, combined
 
 
-def _fit_all_drivers(
-    records: dict[str, fitting.DriverRecord],
-    fitter: fitting.LevelFitter,
-) -> tuple[list[fitting.DriverReport], list[fitting.DriverReport]]:
-    continuous = []
-    discrete = []
-    for driver_id in sorted(records):
-        record = records[driver_id]
-        continuous.append(fitter.compare_driver(record))
-        discrete.append(fitter.compare_driver_discrete(record))
-    return continuous, discrete
+def ingest(cfg: MasterConfig, out_dir: Path, args) -> dict:
+    """Read ``--input`` into records keyed by vehicle id; without it, the
+    manifest's drivers into records keyed by driver id and ingest_summary.json."""
+    path = _path(args, "out", out_dir / "records.json")
+    if _flag(args, "input"):
+        records, summary = data_mod.ingest_trajectories(args.input, cfg.env, cfg.data)
+    else:
+        records, summary = _ingest_manifest(cfg, out_dir)
+        with open(out_dir / "ingest_summary.json", "w") as fh:
+            json.dump(summary.to_dict(), fh, sort_keys=True)
+    data_mod.save_records(records, path)
+    return {"records": str(path), **summary.to_dict()}
+
+
+def fit_drivers(cfg: MasterConfig, out_dir: Path, args) -> dict:
+    """Fit every recorded driver under the continuous and the discrete method."""
+    policy_set = PolicySet.load(_path(args, "qtables", out_dir / "qtables.json"), cfg.env)
+    cache = ModelCache.load_dir(_path(args, "model_dir", out_dir / "models"))
+    records = data_mod.load_records(_path(args, "records", out_dir / "records.json"))
+    fitter = fitting.LevelFitter(
+        observation_set_builder=policy_set.discrete_policies,
+        discrete_levels=cfg.gp.levels,
+        bank_entries=cfg.bank,
+        optimizer=cfg.optimizer,
+        gp_config=cfg.gp,
+        fit_cfg=cfg.fit,
+        sa_cfg=cfg.sa,
+        master_seed=cfg.seed,
+        cache=cache,
+    )
+    paths = {
+        "continuous": out_dir / "reports_continuous.json",
+        "discrete": out_dir / "reports_discrete.json",
+    }
+    ordered = [records[driver_id] for driver_id in sorted(records)]
+    fitting.save_reports([fitter.compare_driver(r) for r in ordered], paths["continuous"])
+    fitting.save_reports([fitter.compare_driver_discrete(r) for r in ordered], paths["discrete"])
+    return {method: str(path) for method, path in paths.items()}
+
+
+def report(cfg: MasterConfig, out_dir: Path, args) -> dict:
+    """Aggregate the fit reports into summary.json and the figure CSVs."""
+    continuous = fitting.load_reports(
+        _path(args, "continuous", out_dir / "reports_continuous.json")
+    )
+    discrete = fitting.load_reports(_path(args, "discrete", out_dir / "reports_discrete.json"))
+    paths = write_report(build_report(continuous, discrete), out_dir)
+    return {"files": [str(p) for p in paths]}
+
+
+STAGES = (
+    ("train-levels", train_levels),
+    ("build-gp", build_gp),
+    ("synthesize", synthesize),
+    ("ingest", ingest),
+    ("fit-drivers", fit_drivers),
+    ("report", report),
+)
 
 
 # -- subcommand implementations ----------------------------------------------
@@ -325,74 +411,9 @@ def _out_dir(cfg: MasterConfig) -> Path:
     return path
 
 
-def cmd_train_levels(args) -> int:
+def cmd_stage(args) -> int:
     cfg = _load_master(args)
-    out_dir = _out_dir(cfg)
-    policy_set = train_hierarchy(cfg.env, cfg.rl, cfg.seed)
-    path = Path(args.out) if args.out else out_dir / "qtables.json"
-    policy_set.save(path)
-    per_level = {k: len(t.q) for k, t in sorted(policy_set.tables.items())}
-    print(json.dumps({"qtables": str(path), "states_per_level": per_level}))
-    return 0
-
-
-def cmd_build_gp(args) -> int:
-    cfg = _load_master(args)
-    out_dir = _out_dir(cfg)
-    qtables = Path(args.qtables) if args.qtables else out_dir / "qtables.json"
-    policy_set = PolicySet.load(qtables, cfg.env)
-    if args.states:
-        state_ids = [int(s) for s in args.states.split(",")]
-    else:
-        if args.n_states is not None:
-            synth = dataclasses.replace(cfg.synthesis, n_states=args.n_states)
-            cfg = dataclasses.replace(cfg, synthesis=synth)
-        state_ids = _select_states(policy_set, cfg)
-    cache = _fit_models(cfg, policy_set, state_ids)
-    model_dir = Path(args.model_dir) if args.model_dir else out_dir / "models"
-    cache.save_dir(model_dir)
-    print(json.dumps({"model_dir": str(model_dir), "n_models": len(cache)}))
-    return 0
-
-
-def cmd_synthesize(args) -> int:
-    cfg = _load_master(args)
-    out_dir = _out_dir(cfg)
-    model_dir = Path(args.model_dir) if args.model_dir else out_dir / "models"
-    cache = ModelCache.load_dir(model_dir)
-    manifest = _synthesize(cfg, cache, out_dir)
-    print(json.dumps({"manifest": str(out_dir / "synthesis_manifest.json"),
-                      "n_drivers": len(manifest["drivers"])}))
-    return 0
-
-
-def cmd_ingest(args) -> int:
-    cfg = _load_master(args)
-    out_dir = _out_dir(cfg)
-    records, summary = data_mod.ingest_trajectories(args.input, cfg.env, cfg.data)
-    path = Path(args.out) if args.out else out_dir / "records.json"
-    data_mod.save_records(records, path)
-    print(json.dumps({"records": str(path), **summary.to_dict()}, sort_keys=True))
-    return 0
-
-
-def cmd_fit_drivers(args) -> int:
-    cfg = _load_master(args)
-    out_dir = _out_dir(cfg)
-    qtables = Path(args.qtables) if args.qtables else out_dir / "qtables.json"
-    policy_set = PolicySet.load(qtables, cfg.env)
-    model_dir = Path(args.model_dir) if args.model_dir else out_dir / "models"
-    cache = ModelCache.load_dir(model_dir)
-    records = data_mod.load_records(
-        args.records if args.records else out_dir / "records.json"
-    )
-    fitter = _make_fitter(cfg, policy_set, cache)
-    continuous, discrete = _fit_all_drivers(records, fitter)
-    cont_path = out_dir / "reports_continuous.json"
-    disc_path = out_dir / "reports_discrete.json"
-    fitting.save_reports(continuous, cont_path)
-    fitting.save_reports(discrete, disc_path)
-    print(json.dumps({"continuous": str(cont_path), "discrete": str(disc_path)}))
+    print(json.dumps(args.stage(cfg, _out_dir(cfg), args), sort_keys=True))
     return 0
 
 
@@ -427,87 +448,21 @@ def cmd_best_response(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    cfg = _load_master(args)
-    out_dir = _out_dir(cfg)
-    continuous = fitting.load_reports(
-        args.continuous if args.continuous else out_dir / "reports_continuous.json"
-    )
-    discrete = fitting.load_reports(
-        args.discrete if args.discrete else out_dir / "reports_discrete.json"
-    )
-    doc = build_report(continuous, discrete)
-    paths = write_report(doc, out_dir)
-    print(json.dumps({"files": [str(p) for p in paths]}))
-    return 0
-
-
 def cmd_pipeline(args) -> int:
     cfg = _load_master(args)
     out_dir = _out_dir(cfg)
-    qtables_path = out_dir / "qtables.json"
-    model_dir = out_dir / "models"
-
-    def stage_train() -> PolicySet:
-        if args.no_train:
-            if not qtables_path.exists():
-                raise InputError(f"--no-train but {qtables_path} is missing")
-            return PolicySet.load(qtables_path, cfg.env)
-        policy_set = train_hierarchy(cfg.env, cfg.rl, cfg.seed)
-        policy_set.save(qtables_path)
-        return policy_set
-
-    def stage_build_gp(policy_set: PolicySet) -> ModelCache:
-        if args.no_train:
-            return ModelCache.load_dir(model_dir)
-        state_ids = _select_states(policy_set, cfg)
-        cache = _fit_models(cfg, policy_set, state_ids)
-        cache.save_dir(model_dir)
-        return cache
-
-    stages = []
-
-    def run(name: str, fn, *fn_args):
+    for name, stage in STAGES:
         logger.info("pipeline stage %s", name)
         try:
-            result = fn(*fn_args)
-        except StageError:
-            raise
-        except LevelkgpError as exc:
+            printed = stage(cfg, out_dir, args)
+        except (LevelkgpError, OSError) as exc:
             raise StageError(name, str(exc)) from exc
-        stages.append(name)
-        return result
-
-    policy_set = run("train-levels", stage_train)
-    cache = run("build-gp", stage_build_gp, policy_set)
-    manifest = run("synthesize", _synthesize, cfg, cache, out_dir)
-    records = run("ingest", _ingest_manifest, cfg, manifest, out_dir)
-
-    def stage_fit():
-        fitter = _make_fitter(cfg, policy_set, cache)
-        continuous, discrete = _fit_all_drivers(records, fitter)
-        fitting.save_reports(continuous, out_dir / "reports_continuous.json")
-        fitting.save_reports(discrete, out_dir / "reports_discrete.json")
-        data_mod.save_records(records, out_dir / "records.json")
-        return continuous, discrete
-
-    continuous, discrete = run("fit-drivers", stage_fit)
-    for level, count in policy_set.fallback_counts().items():
-        logger.info(
-            "level-%d table: %d states fell back to the nearest trained state", level, count
-        )
-
-    def stage_report():
-        doc = build_report(continuous, discrete)
-        return write_report(doc, out_dir)
-
-    paths = run("report", stage_report)
     print(
         json.dumps(
             {
-                "stages": stages,
+                "stages": [name for name, _ in STAGES],
                 "summary": str(out_dir / "summary.json"),
-                "files": [str(p) for p in paths],
+                "files": printed["files"],
             }
         )
     )
@@ -539,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-levels", parents=[common],
                        help="train the discrete level hierarchy")
     p.add_argument("--out", default=None, help="q-tables output path")
-    p.set_defaults(fn=cmd_train_levels)
+    p.set_defaults(fn=cmd_stage, stage=train_levels)
 
     p = sub.add_parser("build-gp", parents=[common],
                        help="fit per-state models from trained policies")
@@ -547,25 +502,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-dir", default=None)
     p.add_argument("--states", default=None, help="comma-separated state ids")
     p.add_argument("--n-states", type=int, default=None)
-    p.set_defaults(fn=cmd_build_gp)
+    p.set_defaults(fn=cmd_stage, stage=build_gp)
 
     p = sub.add_parser("synthesize", parents=[common],
                        help="emit synthetic driver trajectory files")
     p.add_argument("--model-dir", default=None)
-    p.set_defaults(fn=cmd_synthesize)
+    p.set_defaults(fn=cmd_stage, stage=synthesize)
 
     p = sub.add_parser("ingest", parents=[common],
                        help="read a trajectory CSV into driver records")
-    p.add_argument("--input", required=True)
+    p.add_argument("--input", default=None,
+                   help="trajectory CSV; default: the drivers in synthesis_manifest.json")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_ingest)
+    p.set_defaults(fn=cmd_stage, stage=ingest)
 
     p = sub.add_parser("fit-drivers", parents=[common],
                        help="fit reasoning levels for recorded drivers")
     p.add_argument("--records", default=None)
     p.add_argument("--qtables", default=None)
     p.add_argument("--model-dir", default=None)
-    p.set_defaults(fn=cmd_fit_drivers)
+    p.set_defaults(fn=cmd_stage, stage=fit_drivers)
 
     p = sub.add_parser("best-response", parents=[common],
                        help="closed-form best response to an opponent mixture")
@@ -580,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="aggregate fit reports into summary files")
     p.add_argument("--continuous", default=None)
     p.add_argument("--discrete", default=None)
-    p.set_defaults(fn=cmd_report)
+    p.set_defaults(fn=cmd_stage, stage=report)
 
     p = sub.add_parser("pipeline", parents=[common],
                        help="run every stage into one output directory")
@@ -600,7 +556,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     try:
         return args.fn(args)
-    except LevelkgpError as exc:
+    except (LevelkgpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

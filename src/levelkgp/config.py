@@ -346,9 +346,6 @@ class MasterConfig:
             kwargs["synthesis"] = _build(SynthesisConfig, synth, "synthesis")
         return cls(**kwargs)
 
-    def to_dict(self) -> dict[str, Any]:
-        return _as_plain(dataclasses.asdict(self))
-
 
 def _build(klass, doc, label: str):
     if not isinstance(doc, dict):
@@ -371,12 +368,4 @@ def _build_list(klass, docs, label: str) -> tuple:
     if not isinstance(docs, list):
         raise ConfigurationError(f"{label} must be a JSON list")
     return tuple(_build(klass, d, f"{label}[{i}]") for i, d in enumerate(docs))
-
-
-def _as_plain(obj):
-    if isinstance(obj, dict):
-        return {k: _as_plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_as_plain(v) for v in obj]
-    return obj
 

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import DataConfig, DriverSpec, EnvConfig
-from .errors import InputError, SchemaError
+from .errors import InputError, SchemaError, read_json
 from .fitting import DriverRecord, _driver_key
 from .gp import Policy
 from .levelk import (
@@ -248,16 +248,6 @@ def record_from_actions(
     return record
 
 
-def synthesize_driver(
-    spec: DriverSpec,
-    policy_provider: Callable[[int], Policy],
-    state_ids: Sequence[int],
-    seed: int,
-) -> DriverRecord:
-    actions = sample_driver_actions(spec, policy_provider, state_ids, seed)
-    return record_from_actions(spec.driver_id, actions)
-
-
 def _check_scene_state(state: EnvState, env_cfg: EnvConfig):
     left_exists = state.lane - 1 >= 0
     right_exists = state.lane + 1 < env_cfg.n_lanes
@@ -376,6 +366,7 @@ def save_records(records: dict[str, DriverRecord], path: str | Path):
 
 
 def load_records(path: str | Path) -> dict[str, DriverRecord]:
-    with open(path) as fh:
-        docs = json.load(fh)
+    docs = read_json(path)
+    if not isinstance(docs, dict):
+        raise SchemaError(f"{path}: records must be a JSON object keyed by driver id")
     return {driver_id: DriverRecord.from_dict(doc) for driver_id, doc in docs.items()}

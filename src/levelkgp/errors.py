@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input-file helpers
+that raise them."""
+
+import contextlib
+import json
 
 
 class LevelkgpError(Exception):
@@ -39,3 +43,26 @@ class StageError(LevelkgpError, RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage '{stage}' failed: {message}")
         self.stage = stage
+
+
+def read_json(path):
+    """The document in the JSON file at ``path``; malformed JSON is a SchemaError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+
+
+@contextlib.contextmanager
+def file_section(name: str):
+    """Raise a missing or malformed part of an input file as a SchemaError
+    naming it; package errors raised inside pass through unchanged."""
+    try:
+        yield
+    except LevelkgpError:
+        raise
+    except KeyError as exc:
+        raise SchemaError(f"malformed {name}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed {name}: {exc}") from exc

@@ -31,7 +31,7 @@ from .config import (
     OptimizerConfig,
     SAConfig,
 )
-from .errors import InputError, SchemaError
+from .errors import InputError, SchemaError, file_section, read_json
 from .gp import ModelCache, Policy, StateGP, fit_state_gp, shift_normalize
 
 logger = logging.getLogger(__name__)
@@ -86,15 +86,13 @@ class DriverRecord:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DriverRecord":
-        try:
+        with file_section("driver record"):
             counts = {int(s): np.asarray(v) for s, v in doc["counts"].items()}
             return cls(
                 driver_id=doc["driver_id"],
                 action_count=int(doc["action_count"]),
                 counts=counts,
             )
-        except KeyError as exc:
-            raise SchemaError(f"driver record missing key {exc}") from exc
 
 
 def empirical_policy(counts, floor: float = 0.01) -> Policy:
@@ -205,24 +203,25 @@ class DriverReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DriverReport":
-        results = [
-            FitResult(
-                state_id=int(r["state_id"]),
-                n_obs=int(r["n_obs"]),
-                level=float(r["level"]),
-                crit=float(r["crit"]),
-                success=bool(r["success"]),
-                method=r["method"],
-                restarts=tuple(tuple(t) for t in r["restarts"]),
+        with file_section("driver report"):
+            results = [
+                FitResult(
+                    state_id=int(r["state_id"]),
+                    n_obs=int(r["n_obs"]),
+                    level=float(r["level"]),
+                    crit=float(r["crit"]),
+                    success=bool(r["success"]),
+                    method=r["method"],
+                    restarts=tuple(tuple(t) for t in r["restarts"]),
+                )
+                for r in doc["results"]
+            ]
+            return cls(
+                driver_id=doc["driver_id"],
+                method=doc["method"],
+                n_states_observed=int(doc["n_states_observed"]),
+                results=results,
             )
-            for r in doc["results"]
-        ]
-        return cls(
-            driver_id=doc["driver_id"],
-            method=doc["method"],
-            n_states_observed=int(doc["n_states_observed"]),
-            results=results,
-        )
 
 
 def sa_search(
@@ -445,6 +444,7 @@ def save_reports(reports: Sequence[DriverReport], path) -> None:
 
 
 def load_reports(path) -> list[DriverReport]:
-    with open(path) as fh:
-        docs = json.load(fh)
+    docs = read_json(path)
+    if not isinstance(docs, list):
+        raise SchemaError(f"{path}: reports must be a JSON list")
     return [DriverReport.from_dict(d) for d in docs]

@@ -60,6 +60,9 @@ from .errors import (
     MissingStateError,
     NumericalError,
     ParameterError,
+    SchemaError,
+    file_section,
+    read_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -502,16 +505,22 @@ class StateGP:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StateGP":
+        if not isinstance(doc, dict):
+            raise SchemaError("a model file must hold a JSON object")
         if doc.get("version") != 1:
             raise InputError(f"unsupported model version {doc.get('version')!r}")
-        return cls(
-            levels=np.asarray(doc["levels"], dtype=float),
-            policies=np.asarray(doc["policies"], dtype=float),
-            params=LMCParams.from_dict(doc["bank"]),
-            jitter_used=float(doc["jitter_used"]),
-            state_id=doc["state_id"],
-            lml=float(doc["lml"]),
-        )
+        with file_section("model levels"):
+            levels = np.asarray(doc["levels"], dtype=float)
+        with file_section("model policies"):
+            policies = np.asarray(doc["policies"], dtype=float)
+        with file_section("model bank"):
+            params = LMCParams.from_dict(doc["bank"])
+        with file_section("model jitter_used, lml or state_id"):
+            jitter_used, lml = float(doc["jitter_used"]), float(doc["lml"])
+            state_id = doc["state_id"]
+        if state_id is not None and type(state_id) is not int:
+            raise SchemaError(f"model state_id {state_id!r} is not an integer")
+        return cls(levels, policies, params, jitter_used, state_id, lml)
 
     def save(self, path: str | Path):
         with open(path, "w") as fh:
@@ -519,8 +528,7 @@ class StateGP:
 
     @classmethod
     def load(cls, path: str | Path) -> "StateGP":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
 def fit_state_gp(

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .config import EnvConfig, RLConfig
-from .errors import InputError, MissingStateError, SchemaError
+from .errors import InputError, MissingStateError, SchemaError, file_section, read_json
 from .gp import Policy
 
 logger = logging.getLogger(__name__)
@@ -50,9 +50,6 @@ class EnvState(NamedTuple):
     rear_left_bin: int
     rear_right_bin: int
     speed_bin: int
-
-    def fields(self) -> tuple[int, ...]:
-        return tuple(self)
 
 
 class Discretizer:
@@ -397,17 +394,14 @@ class QTable:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "QTable":
-        try:
-            table = cls(
-                level=int(doc["level"]),
-                action_count=int(doc["action_count"]),
-                q={int(s): np.asarray(v, dtype=float) for s, v in doc["q"].items()},
-                visits={int(s): int(v) for s, v in doc["visits"].items()},
-            )
-        except KeyError as exc:
-            raise SchemaError(f"q-table document missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed q-table document: {exc}") from exc
+        """One level of a q-table document; ``PolicySet.from_dict`` names the
+        level when the document is malformed."""
+        table = cls(
+            level=int(doc["level"]),
+            action_count=int(doc["action_count"]),
+            q={int(s): np.asarray(v, dtype=float) for s, v in doc["q"].items()},
+            visits={int(s): int(v) for s, v in doc["visits"].items()},
+        )
         for sid, values in table.q.items():
             where = f"level {table.level} state {sid}"
             if values.shape != (table.action_count,):
@@ -530,7 +524,7 @@ class PolicySet:
         cached = self._fallback.get(key)
         if cached is not None:
             return cached
-        query = self.disc.state_from_id(sid).fields()
+        query = self.disc.state_from_id(sid)
         decoded = self._decoded.get(level)
         if decoded is None:
             ids = np.array(sorted(table.q))
@@ -601,6 +595,8 @@ class PolicySet:
 
     @classmethod
     def from_dict(cls, doc: dict, env_cfg: EnvConfig) -> "PolicySet":
+        if not isinstance(doc, dict):
+            raise SchemaError("a q-table file must hold a JSON object")
         if doc.get("version") != 1:
             raise SchemaError(f"unsupported q-table version {doc.get('version')!r}")
         expected = list(Discretizer(env_cfg).cardinalities)
@@ -610,7 +606,10 @@ class PolicySet:
             )
         if not isinstance(doc.get("tables"), dict):
             raise SchemaError("q-table document needs a 'tables' object")
-        tables = {int(k): QTable.from_dict(t) for k, t in doc["tables"].items()}
+        tables = {}
+        for key, table in doc["tables"].items():
+            with file_section(f"q-table level {key!r}"):
+                tables[int(key)] = QTable.from_dict(table)
         for k, table in tables.items():
             if table.action_count != N_ACTIONS:
                 raise SchemaError(
@@ -620,8 +619,7 @@ class PolicySet:
 
     @classmethod
     def load(cls, path: str | Path, env_cfg: EnvConfig) -> "PolicySet":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh), env_cfg)
+        return cls.from_dict(read_json(path), env_cfg)
 
 
 def train_hierarchy(env_cfg: EnvConfig, rl_cfg: RLConfig, seed: int) -> PolicySet:

@@ -25,7 +25,7 @@ from levelkgp.config import (
     SAConfig,
     default_bank_entries,
 )
-from levelkgp.data import synthesize_driver
+from levelkgp.data import record_from_actions, sample_driver_actions
 from levelkgp.errors import NumericalError
 from levelkgp.fitting import LevelFitter, ks_acceptance, ks_statistic, sa_search
 from levelkgp.game import (
@@ -96,12 +96,13 @@ def world():
 
 def _planted_driver(cache, driver_id, level, state_ids, samples):
     spec = DriverSpec(driver_id=driver_id, level=level, samples_per_state=samples)
-    return synthesize_driver(
+    actions = sample_driver_actions(
         spec,
         lambda sid, l=level: cache.get(sid).policy_at(l),
         state_ids,
         seed=MASTER,
     )
+    return record_from_actions(driver_id, actions)
 
 
 # -- 1: best response ---------------------------------------------------------------

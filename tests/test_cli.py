@@ -284,10 +284,6 @@ def test_cli_overrides_keep_other_fields_and_rerun_load_checks(tmp_path, monkeyp
         synthesis=dataclasses.replace(base.synthesis, n_states=1),
     )
     assert seen == [(want, [0])]
-    assert seen[0][0].to_dict() == {
-        **base.to_dict(), "seed": 11, "out_dir": str(out),
-        "synthesis": {**base.to_dict()["synthesis"], "n_states": 1},
-    }
     capsys.readouterr()
     # the overridden config passes through the same checks as a loaded one
     assert main(argv + ["--n-states", "0"]) == 1
@@ -538,3 +534,115 @@ def test_pipeline_no_train_rejects_model_with_nan(field, index, smoke_config, tm
     capsys.readouterr()
     assert main(["pipeline", "--config", str(path), "--no-train"]) == 1
     _assert_one_error_line(capsys, "build-gp", "must be finite")
+
+
+# -- stages ---------------------------------------------------------------------------
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_stage_commands_in_order_reproduce_the_pipeline(tmp_path, capsys):
+    doc = {
+        "seed": 5,
+        "rl": {"episodes": 25},
+        "env": {"episode_steps": 25},
+        "synthesis": {
+            "n_states": 2,
+            "min_state_visits": 3,
+            "drivers": [
+                {"driver_id": "da", "level": 1.5, "samples_per_state": 60},
+                {"driver_id": "db", "level": 0.5, "samples_per_state": 60},
+            ],
+        },
+    }
+    path = tmp_path / "smoke.json"
+    path.write_text(json.dumps(doc))
+    piped, staged = tmp_path / "pipeline", tmp_path / "stages"
+    assert main(["pipeline", "--config", str(path), "--out-dir", str(piped)]) == 0
+    for name, _ in cli.STAGES:
+        assert main([name, "--config", str(path), "--out-dir", str(staged)]) == 0
+    capsys.readouterr()
+    want = _files(piped)
+    assert len(want) == 15 and Path("ingest_summary.json") in want
+    assert sorted(json.loads(want[Path("records.json")])) == ["da", "db"]
+    assert _files(staged) == want
+
+
+@pytest.mark.parametrize(
+    "command, missing",
+    [
+        ("build-gp", "qtables.json"),
+        ("ingest", "synthesis_manifest.json"),
+        ("fit-drivers", "qtables.json"),
+        ("report", "reports_continuous.json"),
+    ],
+)
+def test_stage_on_an_empty_directory_fails_with_one_error_line(command, missing, tmp_path, capsys):
+    assert main([command, "--out-dir", str(tmp_path)]) == 1
+    _assert_one_error_line(capsys, missing)
+
+
+def test_ingest_without_input_reads_the_synthesis_manifest(smoke_config, tmp_path, capsys):
+    path, out = _smoke_copy(smoke_config, tmp_path)
+    (out / "records.json").unlink()
+    (out / "ingest_summary.json").unlink()
+    capsys.readouterr()
+    assert main(["ingest", "--config", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["records"] == str(out / "records.json")
+    assert doc["n_transitions"] == 2 * 60
+    assert list(json.loads((out / "records.json").read_text())) == ["da"]
+    original = smoke_config[1]
+    for name in ("records.json", "ingest_summary.json"):
+        assert (out / name).read_bytes() == (original / name).read_bytes()
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:-20])
+
+
+def _ragged_policies(path):
+    doc = json.loads(path.read_text())
+    doc["policies"][1] = doc["policies"][1][:-1]
+    path.write_text(json.dumps(doc))
+
+
+def _text_state_id(path):
+    doc = json.loads(path.read_text())
+    counts = doc["da"]["counts"]
+    counts["x"] = counts.pop(next(iter(counts)))
+    path.write_text(json.dumps(doc))
+
+
+def _result_without_crit(path):
+    doc = json.loads(path.read_text())
+    del doc[0]["results"][0]["crit"]
+    path.write_text(json.dumps(doc))
+
+
+# each ended in a traceback: JSONDecodeError, ValueError, ValueError, KeyError
+BROKEN_STAGE_INPUTS = {
+    "truncated qtables": (
+        "qtables.json", _truncate, ["pipeline", "--no-train"], ["train-levels", "not valid JSON"]
+    ),
+    "ragged model policies": (
+        "models", _ragged_policies, ["pipeline", "--no-train"], ["build-gp", "model policies"]
+    ),
+    "text state id": ("records.json", _text_state_id, ["fit-drivers"], ["driver record"]),
+    "result without crit": (
+        "reports_continuous.json", _result_without_crit, ["report"], ["driver report", "'crit'"]
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BROKEN_STAGE_INPUTS))
+def test_broken_stage_input_fails_with_one_error_line(key, smoke_config, tmp_path, capsys):
+    path, out = _smoke_copy(smoke_config, tmp_path)
+    name, corrupt, argv, fragments = BROKEN_STAGE_INPUTS[key]
+    target = out / name
+    corrupt(sorted(target.glob("state_*.json"))[0] if target.is_dir() else target)
+    capsys.readouterr()
+    assert main(argv + ["--config", str(path)]) == 1
+    _assert_one_error_line(capsys, *fragments)

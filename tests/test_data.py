@@ -12,7 +12,6 @@ from levelkgp.data import (
     record_from_actions,
     sample_driver_actions,
     save_records,
-    synthesize_driver,
 )
 from levelkgp.errors import InputError, SchemaError
 from levelkgp.gp import Policy
@@ -181,7 +180,7 @@ def test_sample_driver_actions_requires_states():
 
 def test_synthesize_driver_counts_per_state():
     spec = DriverSpec(driver_id="d", level=1.0, samples_per_state=30)
-    record = synthesize_driver(spec, _flat_policy, [2, 11], seed=1)
+    record = record_from_actions("d", sample_driver_actions(spec, _flat_policy, [2, 11], seed=1))
     assert record.states() == [2, 11]
     for sid in record.states():
         assert record.n_visits(sid) == 30
@@ -266,10 +265,30 @@ def test_export_header_and_row_shape(tmp_path):
 # -- persistence ------------------------------------------------------------------
 
 
+# each raised a bare ValueError, AttributeError or JSONDecodeError before
+BROKEN_RECORD_FILES = {
+    "non-integer state id": (
+        '{"a": {"driver_id": "a", "action_count": 5, "counts": {"x": [1, 0, 0, 0, 0]}}}',
+        "malformed driver record: invalid literal for int",
+    ),
+    "list of records": ('[{"driver_id": "a"}]', "keyed by driver id"),
+    "truncated": ('{"a": {"driver_id": "a", "action_co', "not valid JSON"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BROKEN_RECORD_FILES))
+def test_load_records_names_the_malformed_section(key, tmp_path):
+    text, named = BROKEN_RECORD_FILES[key]
+    path = tmp_path / "records.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=named):
+        load_records(path)
+
+
 def test_save_load_records_round_trip(tmp_path):
     spec = DriverSpec(driver_id="a", level=0.5, samples_per_state=12)
     records = {
-        "a": synthesize_driver(spec, _flat_policy, [1, 2], seed=0),
+        "a": record_from_actions("a", sample_driver_actions(spec, _flat_policy, [1, 2], seed=0)),
         "b": record_from_actions("b", {7: [1, 1, 3]}),
     }
     path = tmp_path / "records.json"

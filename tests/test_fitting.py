@@ -355,6 +355,38 @@ def test_percent_explained():
     assert report.percent_explained == 50.0
 
 
+_REPORT = {
+    "driver_id": "d", "method": "continuous", "n_states_observed": 1,
+    "results": [{"state_id": 2, "n_obs": 45, "level": 1.5, "crit": 0.5, "success": True,
+                 "method": "sa", "restarts": []}],
+}
+
+# each raised a bare KeyError, TypeError or JSONDecodeError before
+BROKEN_REPORT_FILES = {
+    "result without crit": (
+        json.dumps([{**_REPORT, "results": [
+            {k: v for k, v in _REPORT["results"][0].items() if k != "crit"}
+        ]}]),
+        "malformed driver report: missing key 'crit'",
+    ),
+    "reports as an object": (json.dumps({"d": _REPORT}), "reports must be a JSON list"),
+    "truncated": (json.dumps([_REPORT])[:-20], "not valid JSON"),
+}
+
+
+def test_report_document_loads():
+    assert DriverReport.from_dict(_REPORT).results[0].crit == 0.5
+
+
+@pytest.mark.parametrize("key", sorted(BROKEN_REPORT_FILES))
+def test_load_reports_names_the_malformed_section(key, tmp_path):
+    text, named = BROKEN_REPORT_FILES[key]
+    path = tmp_path / "reports.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=named):
+        load_reports(path)
+
+
 def test_reports_round_trip(fitter, tmp_path):
     rec = DriverRecord(
         driver_id="driver-r",

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from levelkgp.errors import (
     DegeneratePolicyError,
     InputError,
     MissingStateError,
+    SchemaError,
 )
 from levelkgp.gp import (
     LOG_2PI,
@@ -396,6 +398,43 @@ def test_model_load_rejects_jitter_used_above_cap(tmp_path):
     path = tmp_path / "state_17.json"
     path.write_text(json.dumps({**V1_MODEL, "jitter_used": 0.5}))
     with pytest.raises(InputError, match="jitter_used"):
+        StateGP.load(path)
+
+
+def _model_text(drop=(), **changes) -> str:
+    doc = {**V1_MODEL, **changes}
+    return json.dumps({k: v for k, v in doc.items() if k not in drop})
+
+
+_V1_ENTRIES = V1_MODEL["bank"]["entries"]
+
+# each raised a bare ValueError, KeyError, TypeError, AttributeError or
+# JSONDecodeError before, or (a text state_id) loaded and broke ModelCache
+BROKEN_MODEL_FILES = {
+    "ragged policies": (
+        _model_text(policies=[[0.5, 0.5]] + V1_MODEL["policies"][1:]), "model policies"
+    ),
+    "no levels": (_model_text(drop=["levels"]), "model levels: missing key 'levels'"),
+    "no bank": (_model_text(drop=["bank"]), "model bank: missing key 'bank'"),
+    "entry without weights": (
+        _model_text(bank={"entries": [
+            {k: v for k, v in _V1_ENTRIES[0].items() if k != "weights"}, _V1_ENTRIES[1]
+        ]}),
+        "model bank: missing key 'weights'",
+    ),
+    "bank as a list": (_model_text(bank=_V1_ENTRIES), "model bank"),
+    "truncated": (json.dumps(V1_MODEL)[:-20], "not valid JSON"),
+    "a list": (json.dumps([V1_MODEL]), "must hold a JSON object"),
+    "text state_id": (_model_text(state_id="17"), "state_id '17' is not an integer"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BROKEN_MODEL_FILES))
+def test_model_load_names_the_malformed_section(key, tmp_path):
+    text, named = BROKEN_MODEL_FILES[key]
+    path = tmp_path / "state_17.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=re.escape(named)):
         StateGP.load(path)
 
 

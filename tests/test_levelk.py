@@ -216,7 +216,7 @@ def test_discretize_matches_binning_oracle(case):
 def test_env_state_is_a_tuple_of_its_fields():
     state = EnvState(2, 1, 0, 3, 0, 1)
     assert state == (2, 1, 0, 3, 0, 1)
-    assert state.fields() == (2, 1, 0, 3, 0, 1)
+    assert tuple(state) == (2, 1, 0, 3, 0, 1)
     assert DISC.state_id((2, 1, 0, 3, 0, 1)) == DISC.state_id(state)
 
 
@@ -733,11 +733,11 @@ def test_policy_set_fallback_uses_nearest_state():
 
 def _hamming_oracle(table: QTable, sid: int) -> int:
     """Brute-force nearest trained state: lowest id among the closest."""
-    fields = DISC.state_from_id(sid).fields()
+    fields = tuple(DISC.state_from_id(sid))
     best_sid: Optional[int] = None
     best_dist = len(fields) + 1
     for candidate in sorted(table.q):
-        cand_fields = DISC.state_from_id(candidate).fields()
+        cand_fields = tuple(DISC.state_from_id(candidate))
         dist = sum(a != b for a, b in zip(fields, cand_fields))
         if dist < best_dist:
             best_dist = dist
@@ -759,9 +759,9 @@ def test_policy_set_fallback_matches_hamming_oracle(n_trained, caplog):
         for sid in queries:
             expected = sid if sid in q else _hamming_oracle(table, sid)
             assert np.array_equal(ps.policy(1, sid).probs, table.policy(expected).probs)
-            query = DISC.state_from_id(sid).fields()
+            query = tuple(DISC.state_from_id(sid))
             dists = [
-                sum(a != b for a, b in zip(query, DISC.state_from_id(c).fields()))
+                sum(a != b for a, b in zip(query, tuple(DISC.state_from_id(c))))
                 for c in trained
             ]
             ties += dists.count(min(dists)) > 1
@@ -862,6 +862,40 @@ def test_policy_set_load_rejects_non_finite_q_values(bad):
     doc["tables"]["1"]["q"]["42"][3] = bad
     with pytest.raises(SchemaError, match="level 1 state 42: q values must be finite"):
         PolicySet.from_dict(doc, ENV)
+
+
+def _edited(change):
+    doc = _qtable_doc()
+    change(doc)
+    return doc
+
+
+def _relabeled_level(doc):
+    doc["tables"]["x"] = doc["tables"].pop("1")
+
+
+def _q_as_list(doc):
+    doc["tables"]["1"]["q"] = list(doc["tables"]["1"]["q"].values())
+
+
+# each raised a bare ValueError, AttributeError or JSONDecodeError before
+BROKEN_QTABLE_FILES = {
+    "non-integer level key": (
+        lambda: json.dumps(_edited(_relabeled_level)), "malformed q-table level 'x'"
+    ),
+    "q as a list": (lambda: json.dumps(_edited(_q_as_list)), "malformed q-table level '1'"),
+    "truncated": (lambda: json.dumps(_qtable_doc())[:-20], "not valid JSON"),
+    "a list": (lambda: json.dumps([_qtable_doc()]), "must hold a JSON object"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BROKEN_QTABLE_FILES))
+def test_policy_set_load_names_the_malformed_section(key, tmp_path):
+    text, named = BROKEN_QTABLE_FILES[key]
+    path = tmp_path / "qtables.json"
+    path.write_text(text())
+    with pytest.raises(SchemaError, match=named):
+        PolicySet.load(path, ENV)
 
 
 def test_policy_set_load_rejects_non_numeric_q_entries():
