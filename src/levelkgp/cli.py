@@ -188,8 +188,8 @@ def write_report(doc: dict, out_dir: Path) -> list[Path]:
 
 
 def _flag(args, name: str):
-    """The subcommand's flag ``name``; unset (None) under ``pipeline``,
-    which has none of the stage flags."""
+    """The flag ``name``, or None where the command lacks it: the path
+    flags belong to the stage subcommands, ``no_train`` to ``pipeline``."""
     return getattr(args, name, None)
 
 

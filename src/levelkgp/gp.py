@@ -627,8 +627,14 @@ class ModelCache:
         return model
 
     def save_dir(self, path: str | Path):
+        """Write one state_<id>.json per model and remove the model files of
+        other states, so the directory holds exactly this cache."""
         root = Path(path)
         root.mkdir(parents=True, exist_ok=True)
+        keep = {f"state_{state_id}.json" for state_id in self.state_ids()}
+        for stale in root.glob("state_*.json"):
+            if stale.name not in keep:
+                stale.unlink()
         for state_id in self.state_ids():
             self.get(state_id).save(root / f"state_{state_id}.json")
 
@@ -642,5 +648,8 @@ class ModelCache:
         if not files:
             raise InputError(f"model directory {root} contains no models")
         for file in files:
-            cache.put(StateGP.load(file))
+            try:
+                cache.put(StateGP.load(file))
+            except InputError as exc:
+                raise type(exc)(f"{file.name}: {exc}") from exc
         return cache

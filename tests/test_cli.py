@@ -570,6 +570,19 @@ def test_stage_commands_in_order_reproduce_the_pipeline(tmp_path, capsys):
     assert _files(staged) == want
 
 
+def test_pipeline_rerun_with_another_seed_matches_a_fresh_run(smoke_config, tmp_path, capsys):
+    path, _ = smoke_config
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    for seed, out in (("1", reused), ("3", reused), ("3", fresh)):
+        assert main(["pipeline", "--config", str(path), "--seed", seed, "--out-dir", str(out)]) == 0
+        if seed == "1":
+            first_models = set(_files(out / "models"))
+    capsys.readouterr()
+    # the seeds pick different states, so the first run leaves model files behind
+    assert first_models != set(_files(fresh / "models"))
+    assert _files(reused) == _files(fresh)
+
+
 @pytest.mark.parametrize(
     "command, missing",
     [
@@ -642,7 +655,10 @@ def test_broken_stage_input_fails_with_one_error_line(key, smoke_config, tmp_pat
     path, out = _smoke_copy(smoke_config, tmp_path)
     name, corrupt, argv, fragments = BROKEN_STAGE_INPUTS[key]
     target = out / name
-    corrupt(sorted(target.glob("state_*.json"))[0] if target.is_dir() else target)
+    if target.is_dir():
+        target = sorted(target.glob("state_*.json"))[0]
+        fragments = [*fragments, target.name]
+    corrupt(target)
     capsys.readouterr()
     assert main(argv + ["--config", str(path)]) == 1
     _assert_one_error_line(capsys, *fragments)

@@ -495,6 +495,31 @@ def test_cache_save_and_load_dir(rng, tmp_path):
         )
 
 
+def test_cache_save_dir_removes_models_of_other_states(rng, tmp_path):
+    root = tmp_path / "models"
+    cache = ModelCache()
+    for sid in (1, 2):
+        cache.put(_fit(rng, state_id=sid, restarts=1)[0])
+    cache.save_dir(root)
+    other = ModelCache()
+    other.put(cache.get(2))
+    other.save_dir(root)
+    assert sorted(p.name for p in root.iterdir()) == ["state_2.json"]
+    assert ModelCache.load_dir(root).state_ids() == [2]
+
+
+def test_cache_load_dir_names_the_broken_file(rng, tmp_path):
+    root = tmp_path / "models"
+    cache = ModelCache()
+    cache.put(_fit(rng, state_id=4, restarts=1)[0])
+    cache.save_dir(root)
+    doc = json.loads((root / "state_4.json").read_text())
+    del doc["bank"]
+    (root / "state_4.json").write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="state_4.json"):
+        ModelCache.load_dir(root)
+
+
 def test_cache_load_missing_dir_raises(tmp_path):
     with pytest.raises(InputError):
         ModelCache.load_dir(tmp_path / "absent")
