@@ -33,10 +33,6 @@ class MissingStateError(LevelkgpError, KeyError):
     """A state id is absent from a trained table and no fallback applies."""
 
 
-class DegeneratePolicyError(LevelkgpError, ValueError):
-    """A policy collapsed to an all-zero vector during normalization."""
-
-
 class StageError(LevelkgpError, RuntimeError):
     """A pipeline stage failed; carries the stage name."""
 

@@ -19,6 +19,7 @@ import logging
 import math
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -87,12 +88,23 @@ class DriverRecord:
     @classmethod
     def from_dict(cls, doc: dict) -> "DriverRecord":
         with file_section("driver record"):
-            counts = {int(s): np.asarray(v) for s, v in doc["counts"].items()}
+            counts = {int(s): _count_row(s, v) for s, v in doc["counts"].items()}
             return cls(
                 driver_id=doc["driver_id"],
                 action_count=int(doc["action_count"]),
                 counts=counts,
             )
+
+
+def _count_row(state, row) -> np.ndarray:
+    """One state's counts as read from a file: a list of JSON integers,
+    so a fraction, a boolean or an overflowing count is not cast away."""
+    if not (isinstance(row, list) and all(type(c) is int and c < 2**63 for c in row)):
+        raise SchemaError(
+            f"malformed driver record: state {state}: counts must be integers "
+            f"below 2**63, got {row!r}"
+        )
+    return np.asarray(row, dtype=np.int64)
 
 
 def empirical_policy(counts, floor: float = 0.01) -> Policy:
@@ -114,30 +126,34 @@ def empirical_policy(counts, floor: float = 0.01) -> Policy:
     return Policy(freq / freq.sum())
 
 
-def ks_statistic(p: Policy, q: Policy) -> float:
-    """Max gap between the cumulative distributions over the action order."""
-    if len(p) != len(q):
+def ks_statistic(p, q):
+    """Max gap between the cumulative distributions over the action order,
+    per row of a Policy or an (m, A) stack of probability rows."""
+    a, b = getattr(p, "probs", p), getattr(q, "probs", q)
+    if a.shape[-1] != b.shape[-1]:
         raise InputError("policies must share an action count")
-    return float(np.max(np.abs(np.cumsum(p.probs) - np.cumsum(q.probs))))
+    return np.abs(a.cumsum(axis=-1) - b.cumsum(axis=-1)).max(axis=-1)
 
 
-def ks_acceptance(d: float, n: int, n2: Optional[int] = None) -> float:
-    """K-S acceptance probability for statistic d at sample size n.
+def ks_acceptance(d, n: int, n2: Optional[int] = None):
+    """K-S acceptance probability for each statistic in d at sample size n.
 
     Uses the asymptotic Kolmogorov survival function with the standard
     finite-sample correction.  With n2 the two-sample effective size
     n*n2/(n+n2) replaces n.
     """
-    if not 0 <= d <= 1:
+    # a scalar skips the array reductions, which cost more than the K-S sum
+    lo, hi = (d.min(), d.max()) if isinstance(d, np.ndarray) else (d, d)
+    if not (lo >= 0 and hi <= 1):
         raise InputError(f"statistic must lie in [0, 1], got {d}")
     if n < 1 or (n2 is not None and n2 < 1):
         raise InputError("sample sizes must be positive")
     en = math.sqrt(n * n2 / (n + n2)) if n2 is not None else math.sqrt(n)
-    return float(kolmogorov(d * (en + 0.12 + 0.11 / en)))
+    return kolmogorov(d * (en + 0.12 + 0.11 / en))
 
 
-def score_policy(model: Policy, data: Policy, n_obs: int, fit_cfg: FitConfig) -> float:
-    """Acceptance probability of the data under the model policy."""
+def score_policy(model, data: Policy, n_obs: int, fit_cfg: FitConfig):
+    """Acceptance probability of the data under the model policy or each row of a stack."""
     d = ks_statistic(model, data)
     n2 = n_obs if fit_cfg.two_sample else None
     return ks_acceptance(d, n_obs, n2)
@@ -280,16 +296,13 @@ def level_landscape(
     n_obs: int,
     fit_cfg: FitConfig,
     step: float = 0.01,
-    low: float = 0.0,
-    high: float = 3.0,
+    sa_cfg: Optional[SAConfig] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score on a dense level grid; the exhaustive reference search."""
-    levels = np.arange(low, high + step / 2, step)
-    means = model.predict_mean(levels)
-    scores = np.empty(levels.size)
-    for i in range(levels.size):
-        scores[i] = score_policy(shift_normalize(means[i]), data, n_obs, fit_cfg)
-    return levels, scores
+    """Scores on a dense grid over the annealing's level range: the exhaustive reference."""
+    sa_cfg = sa_cfg or SAConfig()
+    levels = np.arange(sa_cfg.level_low, sa_cfg.level_high + step / 2, step)
+    policies = shift_normalize(model.predict_mean(levels))
+    return levels, score_policy(policies, data, n_obs, fit_cfg)
 
 
 def grid_fit(
@@ -298,8 +311,9 @@ def grid_fit(
     n_obs: int,
     fit_cfg: FitConfig,
     step: float = 0.01,
+    sa_cfg: Optional[SAConfig] = None,
 ) -> tuple[float, float]:
-    levels, scores = level_landscape(model, data, n_obs, fit_cfg, step)
+    levels, scores = level_landscape(model, data, n_obs, fit_cfg, step, sa_cfg)
     i = int(np.argmax(scores))
     return float(levels[i]), float(scores[i])
 
@@ -350,9 +364,7 @@ class LevelFitter:
 
     # -- single-state fits -------------------------------------------------
 
-    def fit_state(
-        self, driver_id: str, state_id: int, counts, search: str = "sa"
-    ) -> FitResult:
+    def fit_state(self, driver_id: str, state_id: int, counts) -> FitResult:
         n_obs = int(np.asarray(counts).sum())
         data = empirical_policy(counts, self.fit_cfg.probability_floor)
         model = self.model_for(state_id)
@@ -362,37 +374,28 @@ class LevelFitter:
                 model.policy_at(level), data, n_obs, self.fit_cfg
             )
 
-        if search == "sa":
-            restarts = []
-            for r, init in enumerate(self.sa_cfg.restart_levels):
-                rng = restart_rng(self.master_seed, driver_id, state_id, r)
-                restarts.append(sa_search(score, init, self.sa_cfg, rng))
-            best_level, best_crit = max(restarts, key=lambda t: t[1])
-            restart_log = tuple((float(l), float(c)) for l, c in restarts)
-        elif search == "grid":
-            best_level, best_crit = grid_fit(model, data, n_obs, self.fit_cfg)
-            restart_log = ((best_level, best_crit),)
-        else:
-            raise InputError(f"unknown search {search!r}")
+        restarts = []
+        for r, init in enumerate(self.sa_cfg.restart_levels):
+            rng = restart_rng(self.master_seed, driver_id, state_id, r)
+            restarts.append(sa_search(score, init, self.sa_cfg, rng))
+        best_level, best_crit = max(restarts, key=lambda t: t[1])
         return FitResult(
             state_id=state_id,
             n_obs=n_obs,
             level=float(best_level),
             crit=float(best_crit),
             success=bool(best_crit > self.fit_cfg.theta_th),
-            method=search,
-            restarts=restart_log,
+            method="sa",
+            restarts=tuple((float(l), float(c)) for l, c in restarts),
         )
 
     def fit_state_discrete(self, state_id: int, counts) -> FitResult:
-        """Score the raw integer-level policies only."""
+        """Score the raw integer-level policies only, stacked in one call."""
         n_obs = int(np.asarray(counts).sum())
         data = empirical_policy(counts, self.fit_cfg.probability_floor)
         policies = self.builder(state_id)
-        scored = [
-            (float(k), score_policy(pi, data, n_obs, self.fit_cfg))
-            for k, pi in zip(self.discrete_levels, policies)
-        ]
+        crits = score_policy(np.stack([pi.probs for pi in policies]), data, n_obs, self.fit_cfg)
+        scored = [(float(k), float(c)) for k, c in zip(self.discrete_levels, crits)]
         best_level, best_crit = max(scored, key=lambda t: t[1])
         return FitResult(
             state_id=state_id,
@@ -406,36 +409,21 @@ class LevelFitter:
 
     # -- whole-driver comparisons -------------------------------------------
 
-    def _eligible(self, record: DriverRecord) -> list[int]:
-        return [
-            sid for sid in record.states() if record.n_visits(sid) >= self.fit_cfg.n_th
-        ]
-
-    def compare_driver(self, record: DriverRecord, search: str = "sa") -> DriverReport:
-        """Fit every sufficiently visited state of one driver."""
-        method = "continuous" if search == "sa" else f"continuous-{search}"
-        report = DriverReport(
+    def _report(self, record: DriverRecord, method: str, fit) -> DriverReport:
+        """Fit every sufficiently visited state of one driver with ``fit``."""
+        eligible = [s for s in record.states() if record.n_visits(s) >= self.fit_cfg.n_th]
+        return DriverReport(
             driver_id=record.driver_id,
             method=method,
             n_states_observed=len(record.states()),
+            results=[fit(sid, record.counts[sid]) for sid in eligible],
         )
-        report.results = [
-            self.fit_state(record.driver_id, sid, record.counts[sid], search)
-            for sid in self._eligible(record)
-        ]
-        return report
+
+    def compare_driver(self, record: DriverRecord) -> DriverReport:
+        return self._report(record, "continuous", partial(self.fit_state, record.driver_id))
 
     def compare_driver_discrete(self, record: DriverRecord) -> DriverReport:
-        report = DriverReport(
-            driver_id=record.driver_id,
-            method="discrete",
-            n_states_observed=len(record.states()),
-        )
-        report.results = [
-            self.fit_state_discrete(sid, record.counts[sid])
-            for sid in self._eligible(record)
-        ]
-        return report
+        return self._report(record, "discrete", self.fit_state_discrete)
 
 
 def save_reports(reports: Sequence[DriverReport], path) -> None:

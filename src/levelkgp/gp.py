@@ -55,8 +55,8 @@ from .config import (
 )
 from .errors import (
     ConfigurationError,
-    DegeneratePolicyError,
     InputError,
+    LevelkgpError,
     MissingStateError,
     NumericalError,
     ParameterError,
@@ -84,9 +84,10 @@ class Policy:
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or p.size < 2:
             raise InputError("policy must be a vector with at least two entries")
-        if not np.all(np.isfinite(p)):
-            raise InputError("policy entries must be finite")
-        if np.any(p < -1e-9) or np.any(p > 1.0 + 1e-9):
+        # min and max propagate NaN, so this passes only finite entries in range
+        if not (p.min() >= -1e-9 and p.max() <= 1.0 + 1e-9):
+            if not np.all(np.isfinite(p)):
+                raise InputError("policy entries must be finite")
             raise InputError("policy entries must lie in [0, 1]")
         total = float(p.sum())
         if abs(total - 1.0) > 1e-9:
@@ -108,29 +109,29 @@ class Policy:
         return f"Policy({np.array2string(self.probs, precision=4)})"
 
 
-def shift_normalize(raw, on_degenerate: str = "uniform") -> Policy:
-    """Map a real vector to a policy: shift up by the minimum if any
-    entry is negative, then divide by the sum.
+def shift_normalize(raw):
+    """Map each row of a real array to a probability vector: shift the
+    row up by its minimum if any entry is negative, then divide by its
+    sum.  A vector gives a Policy.  An (m, A) array gives the (m, A)
+    rows, which lie in [0, 1] and sum to one by construction.
 
-    A vector whose shifted sum is (numerically) zero carries no
-    preference information; by default it becomes the uniform policy
-    with a warning, or raises DegeneratePolicyError when
-    on_degenerate="raise".
+    A row whose shifted sum is (numerically) zero carries no preference
+    information and becomes uniform, with one warning per call.
     """
-    v = np.asarray(raw, dtype=float).ravel()
-    if v.size < 2:
+    v = np.asarray(raw, dtype=float)
+    if v.ndim == 0 or v.size == 0 or v.shape[-1] < 2:
         raise InputError("need at least two entries to normalize")
     if not np.all(np.isfinite(v)):
         raise InputError("cannot normalize non-finite values")
-    lowest = v.min()
-    shifted = v - lowest if lowest < 0 else v.copy()
-    total = shifted.sum()
-    if total <= 1e-300:
-        if on_degenerate == "raise":
-            raise DegeneratePolicyError("vector collapsed to zero after shifting")
+    shifted = v - np.minimum(v.min(axis=-1, keepdims=True), 0.0)
+    total = shifted.sum(axis=-1, keepdims=True)
+    degenerate = total <= 1e-300
+    if degenerate.any():
         logger.warning("degenerate vector in shift_normalize, using uniform")
-        return Policy(np.full(v.size, 1.0 / v.size))
-    return Policy(shifted / total)
+        shifted = np.where(degenerate, 1.0, shifted)
+        total = np.where(degenerate, float(v.shape[-1]), total)
+    probs = shifted / total
+    return Policy(probs) if v.ndim == 1 else probs
 
 
 def zero_sum_basis(dim: int) -> np.ndarray:
@@ -410,17 +411,13 @@ def _validate_training_set(levels, policies):
 
 @dataclass
 class PolicyPrediction:
-    """Posterior at one level: raw mean, covariance and the normalized
-    policy.  The raw mean sums to one by construction; entries may be
-    slightly negative between training levels."""
+    """Posterior at one level: raw mean and covariance.  The raw mean sums
+    to one by construction; entries may be slightly negative between
+    training levels."""
 
     level: float
     mean: np.ndarray
     cov: np.ndarray
-
-    @property
-    def policy(self) -> Policy:
-        return shift_normalize(self.mean)
 
 
 class StateGP:
@@ -650,6 +647,6 @@ class ModelCache:
         for file in files:
             try:
                 cache.put(StateGP.load(file))
-            except InputError as exc:
+            except LevelkgpError as exc:
                 raise type(exc)(f"{file.name}: {exc}") from exc
         return cache

@@ -31,6 +31,18 @@ def kron_covariance(grams, variances, coregs, out):
     return out
 
 
+def shift_normalize_row(raw):
+    """The one-vector ``gp.shift_normalize`` that the row-wise one replaced:
+    its bit-for-bit oracle, returning the clipped probability vector."""
+    v = np.asarray(raw, dtype=float).ravel()
+    lowest = v.min()
+    shifted = v - lowest if lowest < 0 else v.copy()
+    total = shifted.sum()
+    if total <= 1e-300:
+        return np.full(v.size, 1.0 / v.size)
+    return np.clip(shifted / total, 0.0, 1.0)
+
+
 def default_bank(output_dim, rng=None):
     """Unit-variance default bank with small random coregionalization weights."""
     rng = rng or np.random.default_rng(0)

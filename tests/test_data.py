@@ -274,6 +274,14 @@ BROKEN_RECORD_FILES = {
     "list of records": ('[{"driver_id": "a"}]', "keyed by driver id"),
     "truncated": ('{"a": {"driver_id": "a", "action_co', "not valid JSON"),
 }
+# each loaded as a cast count before, or warned and then called 1e300 negative
+BROKEN_RECORD_FILES.update({
+    f"{name} count": (
+        '{"a": {"driver_id": "a", "action_count": 5, "counts": {"4": [%s, 0, 0, 0, 0]}}}' % text,
+        r"state 4: counts must be integers",
+    )
+    for name, text in [("fractional", "1.5"), ("boolean", "true"), ("overflowing", "1e300")]
+})
 
 
 @pytest.mark.parametrize("key", sorted(BROKEN_RECORD_FILES))

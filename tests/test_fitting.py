@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import kolmogorov
 from scipy.stats import kstwobign
 
-from conftest import random_policies
+from conftest import random_policies, shift_normalize_row
 from levelkgp.config import FitConfig, OptimizerConfig, SAConfig
 from levelkgp.errors import InputError, SchemaError
 from levelkgp.fitting import (
@@ -160,6 +161,35 @@ def test_ks_acceptance_validation():
         ks_acceptance(0.1, 10, 0)
 
 
+def _score_oracle(model, data, n_obs, fit_cfg):
+    """The scalar K-S score the row-wise one replaced: its bit-for-bit oracle."""
+    d = float(np.max(np.abs(np.cumsum(model) - np.cumsum(data.probs))))
+    n2 = n_obs if fit_cfg.two_sample else None
+    en = math.sqrt(n_obs * n2 / (n_obs + n2)) if n2 is not None else math.sqrt(n_obs)
+    return float(kolmogorov(d * (en + 0.12 + 0.11 / en)))
+
+
+def _landscape_oracle(model, data, n_obs, fit_cfg, step=0.01, low=0.0, high=3.0):
+    """The per-level loop the array landscape replaced."""
+    levels = np.arange(low, high + step / 2, step)
+    means = model.predict_mean(levels)
+    scores = np.empty(levels.size)
+    for i in range(levels.size):
+        scores[i] = _score_oracle(shift_normalize_row(means[i]), data, n_obs, fit_cfg)
+    return levels, scores
+
+
+def test_score_policy_scores_each_row_of_a_stack(rng):
+    stack = rng.dirichlet(np.ones(5), size=30)
+    data = Policy(rng.dirichlet(np.ones(5)))
+    for cfg in (FitConfig(), FitConfig(two_sample=True)):
+        scores = score_policy(stack, data, 75, cfg)
+        assert scores.shape == (30,)
+        assert np.array_equal(scores, [_score_oracle(row, data, 75, cfg) for row in stack])
+    with pytest.raises(InputError):
+        ks_acceptance(np.array([0.2, 1.5]), 10)
+
+
 def test_score_policy_composes_statistic_and_acceptance(rng):
     model = Policy(rng.dirichlet(np.ones(5)))
     data = Policy(rng.dirichlet(np.ones(5)))
@@ -268,6 +298,46 @@ def _counts_at(fitter, state_id, level, n=400):
     return counts
 
 
+LANDSCAPE_COUNTS = {
+    "planted at 0.3": lambda f, sid: _counts_at(f, sid, 0.3),
+    "planted at 2.6, few visits": lambda f, sid: _counts_at(f, sid, 2.6, n=35),
+    "flat": lambda f, sid: np.full(5, 12),
+}
+
+
+@pytest.mark.parametrize("state_id", [1, 3, 6])
+def test_level_landscape_matches_per_level_loop(fitter, state_id):
+    model = fitter.model_for(state_id)
+    for make in LANDSCAPE_COUNTS.values():
+        counts = make(fitter, state_id)
+        data = empirical_policy(counts)
+        for cfg in (fitter.fit_cfg, FitConfig(two_sample=True)):
+            got = level_landscape(model, data, int(counts.sum()), cfg)
+            want = _landscape_oracle(model, data, int(counts.sum()), cfg)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
+def test_level_landscape_spans_the_annealing_range(fitter):
+    model = fitter.model_for(3)
+    data = empirical_policy(_counts_at(fitter, 3, 1.4))
+    sa_cfg = SAConfig(level_low=0.5, level_high=2.0, restart_levels=(1.0,))
+    levels, scores = level_landscape(model, data, 400, fitter.fit_cfg, 0.05, sa_cfg)
+    want = _landscape_oracle(model, data, 400, fitter.fit_cfg, 0.05, 0.5, 2.0)
+    assert levels[0] == 0.5 and levels[-1] == pytest.approx(2.0)
+    assert np.array_equal(levels, want[0]) and np.array_equal(scores, want[1])
+
+
+def test_score_policy_one_row_matches_scalar_oracle(fitter):
+    model = fitter.model_for(2)
+    data = empirical_policy(_counts_at(fitter, 2, 1.1, n=60))
+    for level in np.random.default_rng(4).uniform(0.0, 3.0, size=50):
+        row = shift_normalize_row(model.predict_mean([level])[0])
+        got = score_policy(model.policy_at(level), data, 60, fitter.fit_cfg)
+        assert np.ndim(got) == 0
+        assert got == _score_oracle(row, data, 60, fitter.fit_cfg)
+
+
 def test_grid_fit_matches_landscape_argmax(fitter):
     model = fitter.model_for(3)
     data = empirical_policy(_counts_at(fitter, 3, 1.4))
@@ -298,11 +368,6 @@ def test_fit_state_is_deterministic(fitter):
     assert a == b
 
 
-def test_fit_state_rejects_unknown_search(fitter):
-    with pytest.raises(InputError):
-        fitter.fit_state("driver-x", 5, [10, 10, 10, 10, 10], search="nope")
-
-
 def test_fit_state_discrete_picks_matching_integer_level(fitter):
     policies = _builder(4)
     counts = np.floor(policies[2].probs * 400).astype(int)
@@ -311,6 +376,20 @@ def test_fit_state_discrete_picks_matching_integer_level(fitter):
     assert result.level == 2.0
     assert result.method == "discrete"
     assert len(result.restarts) == 4
+
+
+@pytest.mark.parametrize("state_id", [2, 4, 7])
+def test_fit_state_discrete_matches_per_policy_oracle(fitter, state_id):
+    policies = _builder(state_id)
+    for counts in ([30, 5, 5, 2, 1], [1, 1, 40, 3, 9], [8, 8, 8, 8, 8]):
+        data = empirical_policy(counts)
+        want = [
+            (k, _score_oracle(pi.probs, data, sum(counts), fitter.fit_cfg))
+            for k, pi in zip(fitter.discrete_levels, policies)
+        ]
+        result = fitter.fit_state_discrete(state_id, counts)
+        assert result.restarts == tuple(want)
+        assert (result.level, result.crit) == max(want, key=lambda t: t[1])
 
 
 def test_compare_driver_filters_by_visit_threshold(fitter):

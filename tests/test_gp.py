@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -11,9 +12,10 @@ from scipy.linalg import cho_solve
 
 from levelkgp.config import MAX_JITTER, GPConfig, OptimizerConfig, default_bank_entries
 from levelkgp.errors import (
-    DegeneratePolicyError,
+    ConfigurationError,
     InputError,
     MissingStateError,
+    ParameterError,
     SchemaError,
 )
 from levelkgp.gp import (
@@ -35,7 +37,13 @@ from levelkgp.gp import (
     zero_sum_basis,
 )
 
-from conftest import V1_MODEL, default_bank, kron_covariance, random_policies
+from conftest import (
+    V1_MODEL,
+    default_bank,
+    kron_covariance,
+    random_policies,
+    shift_normalize_row,
+)
 
 LEVELS = np.array([0.0, 1.0, 2.0, 3.0])
 # SHA-256 of three default fits, recorded before the per-entry rank and the
@@ -106,9 +114,29 @@ def test_shift_normalize_degenerate_falls_back_to_uniform(caplog):
     assert any("degenerate" in r.message for r in caplog.records)
 
 
-def test_shift_normalize_degenerate_raises_on_request():
-    with pytest.raises(DegeneratePolicyError):
-        shift_normalize([-2.0, -2.0], on_degenerate="raise")
+def test_shift_normalize_rows_match_per_row_oracle(rng, caplog):
+    rows = rng.normal(0.2, 0.4, size=(40, 5))
+    rows[::7] = 0.0
+    rows[3] = -2.0
+    with caplog.at_level("WARNING"):
+        probs = shift_normalize(rows)
+    assert np.array_equal(probs, np.stack([shift_normalize_row(r) for r in rows]))
+    assert (rows.min(axis=1) < 0).sum() > 20
+    assert np.array_equal(probs[3], np.full(5, 0.2))
+    assert [r.message for r in caplog.records] == [
+        "degenerate vector in shift_normalize, using uniform"
+    ]
+
+
+def test_shift_normalize_vector_matches_oracle(rng):
+    for row in rng.normal(0.2, 0.4, size=(40, 5)):
+        assert np.array_equal(shift_normalize(row).probs, shift_normalize_row(row))
+
+
+def test_shift_normalize_rejects_bad_shapes():
+    for bad in (0.5, [0.5], np.zeros((3, 1)), np.zeros((0, 4))):
+        with pytest.raises(InputError):
+            shift_normalize(bad)
 
 
 def test_shift_normalize_rejects_non_finite():
@@ -518,6 +546,21 @@ def test_cache_load_dir_names_the_broken_file(rng, tmp_path):
     (root / "state_4.json").write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match="state_4.json"):
         ModelCache.load_dir(root)
+    # the errors of the parameter checks, not only the schema's, name the file
+    variance, kind, kappa = (copy.deepcopy(V1_MODEL) for _ in range(3))
+    variance["bank"]["entries"][0]["variance"] = -0.5
+    kind["bank"]["entries"][1]["kind"] = "rbf"
+    kappa["bank"]["entries"][0]["kappa"] = [-0.05, 0.1]
+    (root / "state_4.json").unlink()
+    for doc, error in [
+        (variance, ParameterError),
+        (kind, ConfigurationError),
+        ({**V1_MODEL, "jitter_used": 0}, ParameterError),
+        (kappa, ParameterError),
+    ]:
+        (root / "state_17.json").write_text(json.dumps(doc))
+        with pytest.raises(error, match="^state_17.json: "):
+            ModelCache.load_dir(root)
 
 
 def test_cache_load_missing_dir_raises(tmp_path):
