@@ -98,11 +98,11 @@ class DriverRecord:
 
 def _count_row(state, row) -> np.ndarray:
     """One state's counts as read from a file: a list of JSON integers,
-    so a fraction, a boolean or an overflowing count is not cast away."""
-    if not (isinstance(row, list) and all(type(c) is int and c < 2**63 for c in row)):
+    so a fraction, a boolean or an out-of-range count is not cast away."""
+    if not (isinstance(row, list) and all(type(c) is int and 0 <= c < 2**63 for c in row)):
         raise SchemaError(
-            f"malformed driver record: state {state}: counts must be integers "
-            f"below 2**63, got {row!r}"
+            f"malformed driver record: state {state}: counts must be non-negative "
+            f"integers below 2**63, got {row!r}"
         )
     return np.asarray(row, dtype=np.int64)
 
@@ -311,9 +311,8 @@ def grid_fit(
     n_obs: int,
     fit_cfg: FitConfig,
     step: float = 0.01,
-    sa_cfg: Optional[SAConfig] = None,
 ) -> tuple[float, float]:
-    levels, scores = level_landscape(model, data, n_obs, fit_cfg, step, sa_cfg)
+    levels, scores = level_landscape(model, data, n_obs, fit_cfg, step)
     i = int(np.argmax(scores))
     return float(levels[i]), float(scores[i])
 

@@ -278,9 +278,14 @@ BROKEN_RECORD_FILES = {
 BROKEN_RECORD_FILES.update({
     f"{name} count": (
         '{"a": {"driver_id": "a", "action_count": 5, "counts": {"4": [%s, 0, 0, 0, 0]}}}' % text,
-        r"state 4: counts must be integers",
+        r"state 4: counts must be non-negative integers",
     )
-    for name, text in [("fractional", "1.5"), ("boolean", "true"), ("overflowing", "1e300")]
+    for name, text in [
+        ("fractional", "1.5"),
+        ("boolean", "true"),
+        ("overflowing", "1e300"),
+        ("huge negative", "-100000000000000000000000"),
+    ]
 })
 
 
