@@ -369,4 +369,8 @@ def load_records(path: str | Path) -> dict[str, DriverRecord]:
     docs = read_json(path)
     if not isinstance(docs, dict):
         raise SchemaError(f"{path}: records must be a JSON object keyed by driver id")
-    return {driver_id: DriverRecord.from_dict(doc) for driver_id, doc in docs.items()}
+    records = {key: DriverRecord.from_dict(doc) for key, doc in docs.items()}
+    for key, record in records.items():
+        if record.driver_id != key:
+            raise SchemaError(f"{path}: record {key!r} holds driver_id {record.driver_id!r}")
+    return records

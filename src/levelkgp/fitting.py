@@ -89,11 +89,12 @@ class DriverRecord:
     def from_dict(cls, doc: dict) -> "DriverRecord":
         with file_section("driver record"):
             counts = {int(s): _count_row(s, v) for s, v in doc["counts"].items()}
-            return cls(
-                driver_id=doc["driver_id"],
-                action_count=int(doc["action_count"]),
-                counts=counts,
-            )
+            action_count = doc["action_count"]
+            if type(action_count) is not int:
+                raise SchemaError(
+                    f"malformed driver record: action_count must be an integer, got {action_count!r}"
+                )
+            return cls(driver_id=doc["driver_id"], action_count=action_count, counts=counts)
 
 
 def _count_row(state, row) -> np.ndarray:
@@ -240,41 +241,55 @@ class DriverReport:
             )
 
 
+def sa_chains(
+    score_fn: Callable[[list[float]], Sequence[float]],
+    init_levels: Sequence[float],
+    sa_cfg: SAConfig,
+    rngs: Sequence[np.random.Generator],
+) -> list[tuple[float, float]]:
+    """Maximize score_fn over the level range by simulated annealing, one
+    chain per start level and rng, all chains in lockstep.
+
+    score_fn maps a list of levels to their scores, so each step scores
+    every chain's proposal in one call.  Proposals are Gaussian steps
+    whose scale shrinks with the shared temperature, each drawn from its
+    chain's own rng.  The default acceptance rule always takes
+    improvements and takes a worse candidate with probability
+    exp(-delta/T); setting paper_acceptance_sign flips delta, reproducing
+    the published rule that damps improvements instead.  Each chain
+    returns the best (level, score) seen anywhere in its walk.
+    """
+    low, high = sa_cfg.level_low, sa_cfg.level_high
+    levels = [float(np.clip(init, low, high)) for init in init_levels]
+    scores = list(score_fn(levels))
+    best = list(zip(levels, scores))
+    temp = sa_cfg.initial_temperature
+    span = high - low
+    sign = 1.0 if sa_cfg.paper_acceptance_sign else -1.0  # exact: b - a is -(a - b)
+    for _ in range(sa_cfg.max_steps):
+        scale = sa_cfg.neighbor_scale * (temp / sa_cfg.initial_temperature) * span
+        candidates = [
+            float(np.clip(level + rng.normal(0.0, scale), low, high))
+            for level, rng in zip(levels, rngs)
+        ]
+        for i, cand_score in enumerate(score_fn(candidates)):
+            delta = sign * (cand_score - scores[i])
+            if delta <= 0 or rngs[i].random() < math.exp(-delta / temp):
+                levels[i], scores[i] = candidates[i], cand_score
+            if scores[i] > best[i][1]:
+                best[i] = (levels[i], scores[i])
+        temp *= sa_cfg.cooling
+    return best
+
+
 def sa_search(
     score_fn: Callable[[float], float],
     init_level: float,
     sa_cfg: SAConfig,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
-    """Maximize score_fn over the level range by simulated annealing.
-
-    Proposals are Gaussian steps whose scale shrinks with the
-    temperature.  The default acceptance rule always takes improvements
-    and takes a worse candidate with probability exp(-delta/T); setting
-    paper_acceptance_sign flips delta, reproducing the published rule
-    that damps improvements instead.  The best level seen anywhere in
-    the walk is returned.
-    """
-    low, high = sa_cfg.level_low, sa_cfg.level_high
-    level = float(np.clip(init_level, low, high))
-    score = score_fn(level)
-    best_level, best_score = level, score
-    temp = sa_cfg.initial_temperature
-    span = high - low
-    for _ in range(sa_cfg.max_steps):
-        scale = sa_cfg.neighbor_scale * (temp / sa_cfg.initial_temperature) * span
-        candidate = float(np.clip(level + rng.normal(0.0, scale), low, high))
-        cand_score = score_fn(candidate)
-        if sa_cfg.paper_acceptance_sign:
-            delta = cand_score - score
-        else:
-            delta = score - cand_score
-        if delta <= 0 or rng.random() < math.exp(-delta / temp):
-            level, score = candidate, cand_score
-        if score > best_score:
-            best_level, best_score = level, score
-        temp *= sa_cfg.cooling
-    return best_level, best_score
+    """``sa_chains`` for one chain, with score_fn taking one level."""
+    return sa_chains(lambda levels: [score_fn(levels[0])], [init_level], sa_cfg, [rng])[0]
 
 
 def _driver_key(driver_id: str) -> int:
@@ -368,15 +383,12 @@ class LevelFitter:
         data = empirical_policy(counts, self.fit_cfg.probability_floor)
         model = self.model_for(state_id)
 
-        def score(level: float) -> float:
-            return score_policy(
-                model.policy_at(level), data, n_obs, self.fit_cfg
-            )
+        def score(levels: list[float]) -> np.ndarray:
+            return score_policy(model.policies_at(levels), data, n_obs, self.fit_cfg)
 
-        restarts = []
-        for r, init in enumerate(self.sa_cfg.restart_levels):
-            rng = restart_rng(self.master_seed, driver_id, state_id, r)
-            restarts.append(sa_search(score, init, self.sa_cfg, rng))
+        starts = self.sa_cfg.restart_levels
+        rngs = [restart_rng(self.master_seed, driver_id, state_id, r) for r in range(len(starts))]
+        restarts = sa_chains(score, starts, self.sa_cfg, rngs)
         best_level, best_crit = max(restarts, key=lambda t: t[1])
         return FitResult(
             state_id=state_id,

@@ -458,15 +458,17 @@ class StateGP:
 
     # -- queries --------------------------------------------------------
 
-    def predict_mean(self, levels) -> np.ndarray:
-        """Raw posterior means, one row per query level, shape (m, A)."""
+    def _coords(self, levels) -> np.ndarray:
+        """Posterior mean coordinates in ``basis``, one row per query level."""
         q = np.atleast_1d(np.asarray(levels, dtype=float)).ravel()
         if not np.all(np.isfinite(q)):
             raise InputError("query levels must be finite")
         star = self.params.covariance(q, self.levels)
-        dim = self.action_count - 1
-        coords = (star @ self._alpha).reshape(dim, q.size).T
-        return self.prior_mean[None, :] + coords @ self.basis.T
+        return (star @ self._alpha).reshape(self.action_count - 1, q.size).T
+
+    def predict_mean(self, levels) -> np.ndarray:
+        """Raw posterior means, one row per query level, shape (m, A)."""
+        return self.prior_mean[None, :] + self._coords(levels) @ self.basis.T
 
     def predict(self, level: float) -> PolicyPrediction:
         """Posterior mean and covariance of the action probabilities."""
@@ -484,8 +486,15 @@ class StateGP:
         cov = 0.5 * (cov + cov.T)
         return PolicyPrediction(level=q, mean=mean, cov=cov)
 
+    def policies_at(self, levels) -> np.ndarray:
+        """Posterior policies, one row per query level, shape (m, A); row i
+        equals ``policy_at(levels[i]).probs`` bit for bit."""
+        # row by row: numpy takes gemv for one row and gemm for several, which round differently
+        rows = [self.prior_mean + (c[None, :] @ self.basis.T)[0] for c in self._coords(levels)]
+        return shift_normalize(np.stack(rows))
+
     def policy_at(self, level: float) -> Policy:
-        return shift_normalize(self.predict_mean([level])[0])
+        return Policy(self.policies_at([level])[0])
 
     # -- serialization ----------------------------------------------------
 

@@ -287,6 +287,18 @@ BROKEN_RECORD_FILES.update({
         ("huge negative", "-100000000000000000000000"),
     ]
 })
+# each loaded before: the action count cast with int(), the record under a key not its id
+BROKEN_RECORD_FILES.update({
+    f"{name} action_count": (
+        '{"a": {"driver_id": "a", "action_count": %s, "counts": {}}}' % text,
+        "action_count must be an integer",
+    )
+    for name, text in [("fractional", "5.7"), ("text", '"5"')]
+})
+BROKEN_RECORD_FILES["key not its driver_id"] = (
+    '{"x": {"driver_id": "b", "action_count": 5, "counts": {}}}',
+    "record 'x' holds driver_id 'b'",
+)
 
 
 @pytest.mark.parametrize("key", sorted(BROKEN_RECORD_FILES))

@@ -23,6 +23,7 @@ from levelkgp.fitting import (
     level_landscape,
     load_reports,
     restart_rng,
+    sa_chains,
     sa_search,
     save_reports,
     score_policy,
@@ -265,6 +266,58 @@ def test_sa_search_never_leaves_level_range():
     assert all(cfg.level_low <= l <= cfg.level_high for l in seen)
 
 
+def _sa_search_oracle(score_fn, init_level, sa_cfg, rng):
+    """The one-chain annealing loop the lockstep walk replaced: its bit-for-bit oracle."""
+    low, high = sa_cfg.level_low, sa_cfg.level_high
+    level = float(np.clip(init_level, low, high))
+    score = score_fn(level)
+    best_level, best_score = level, score
+    temp = sa_cfg.initial_temperature
+    span = high - low
+    for _ in range(sa_cfg.max_steps):
+        scale = sa_cfg.neighbor_scale * (temp / sa_cfg.initial_temperature) * span
+        candidate = float(np.clip(level + rng.normal(0.0, scale), low, high))
+        cand_score = score_fn(candidate)
+        if sa_cfg.paper_acceptance_sign:
+            delta = cand_score - score
+        else:
+            delta = score - cand_score
+        if delta <= 0 or rng.random() < math.exp(-delta / temp):
+            level, score = candidate, cand_score
+        if score > best_score:
+            best_level, best_score = level, score
+        temp *= sa_cfg.cooling
+    return best_level, best_score
+
+
+@pytest.mark.parametrize("paper_sign", [False, True])
+def test_sa_search_matches_one_chain_oracle(paper_sign):
+    cfg = SAConfig(paper_acceptance_sign=paper_sign)
+    for seed in range(12):
+        fn = _bump(0.25 * seed)
+        init = cfg.restart_levels[seed % len(cfg.restart_levels)]
+        got = sa_search(fn, init, cfg, np.random.default_rng(seed))
+        assert got == _sa_search_oracle(fn, init, cfg, np.random.default_rng(seed))
+
+
+def test_sa_chains_scores_every_chain_in_one_call():
+    cfg = SAConfig(max_steps=9)
+    batches = []
+
+    def score(levels):
+        batches.append(len(levels))
+        return [_bump(1.3)(level) for level in levels]
+
+    rngs = [np.random.default_rng([5, r]) for r in range(len(cfg.restart_levels))]
+    got = sa_chains(score, cfg.restart_levels, cfg, rngs)
+    assert batches == [len(cfg.restart_levels)] * (cfg.max_steps + 1)
+    want = [
+        _sa_search_oracle(_bump(1.3), init, cfg, np.random.default_rng([5, r]))
+        for r, init in enumerate(cfg.restart_levels)
+    ]
+    assert got == want
+
+
 def test_restart_rng_is_reproducible_and_distinct():
     a = restart_rng(7, "driver-a", 12, 0).random(4)
     b = restart_rng(7, "driver-a", 12, 0).random(4)
@@ -336,6 +389,71 @@ def test_score_policy_one_row_matches_scalar_oracle(fitter):
         got = score_policy(model.policy_at(level), data, 60, fitter.fit_cfg)
         assert np.ndim(got) == 0
         assert got == _score_oracle(row, data, 60, fitter.fit_cfg)
+
+
+def _policy_oracle(model, level):
+    """The one-level policy query the batched one replaced."""
+    return shift_normalize_row(model.predict_mean([level])[0])
+
+
+@pytest.mark.parametrize("state_id", range(8))
+def test_policies_at_rows_equal_policy_at(fitter, state_id):
+    model = fitter.model_for(state_id)
+    rng = np.random.default_rng(state_id)
+    for size in (1, 2, 3, 4, 5, 8, 301):
+        levels = rng.uniform(0.0, 3.0, size=size)
+        rows = model.policies_at(levels)
+        assert rows.shape == (size, model.action_count)
+        for level, row in zip(levels, rows):
+            assert np.array_equal(row, model.policy_at(level).probs)
+            assert np.array_equal(row, _policy_oracle(model, level))
+    with pytest.raises(InputError):
+        model.policies_at([0.5, np.inf])
+
+
+def _fit_state_oracle(fitter, driver_id, state_id, counts):
+    """``fit_state`` as one annealing loop per restart, one level per query."""
+    n_obs = int(np.asarray(counts).sum())
+    data = empirical_policy(counts, fitter.fit_cfg.probability_floor)
+    model = fitter.model_for(state_id)
+
+    def score(level):
+        return score_policy(Policy(_policy_oracle(model, level)), data, n_obs, fitter.fit_cfg)
+
+    restarts = [
+        _sa_search_oracle(
+            score, init, fitter.sa_cfg, restart_rng(fitter.master_seed, driver_id, state_id, r)
+        )
+        for r, init in enumerate(fitter.sa_cfg.restart_levels)
+    ]
+    best_level, best_crit = max(restarts, key=lambda t: t[1])
+    return FitResult(
+        state_id=state_id,
+        n_obs=n_obs,
+        level=float(best_level),
+        crit=float(best_crit),
+        success=bool(best_crit > fitter.fit_cfg.theta_th),
+        method="sa",
+        restarts=tuple((float(l), float(c)) for l, c in restarts),
+    )
+
+
+@pytest.mark.parametrize("paper_sign", [False, True])
+@pytest.mark.parametrize("two_sample", [False, True])
+def test_fit_state_matches_per_restart_oracle(fitter, paper_sign, two_sample):
+    variant = LevelFitter(
+        _builder,
+        optimizer=FAST_OPT,
+        fit_cfg=FitConfig(two_sample=two_sample),
+        sa_cfg=SAConfig(paper_acceptance_sign=paper_sign),
+        master_seed=fitter.master_seed,
+        cache=fitter.cache,
+    )
+    for state_id in (1, 3, 6):
+        for make in LANDSCAPE_COUNTS.values():
+            counts = make(variant, state_id)
+            got = variant.fit_state("driver-o", state_id, counts)
+            assert got == _fit_state_oracle(variant, "driver-o", state_id, counts)
 
 
 def test_grid_fit_matches_landscape_argmax(fitter):
