@@ -26,10 +26,19 @@ length-scale grid); only the variances and coregionalization weights
 and kappa are learned, by maximizing the log marginal likelihood with
 L-BFGS-B from several restarts, using the analytic gradient.
 
-The objective batches the bank: one decode of theta, every B_z from one
-batched product, every gradient slot from one einsum.  Sigma is still
-summed entry by entry in bank order from jitter*I, because float addition
-is not associative and the fits, which stop at max_iter, would move.
+The restarts of a state run in lockstep: ``_lbfgsb_lockstep`` advances
+each one through SciPy's L-BFGS-B reverse communication to its next
+request for f and g, then answers every pending request with one call of
+the objective over the stack of theta.  Each restart follows exactly the
+path that ``scipy.optimize.minimize(method="L-BFGS-B")`` takes from its
+start, so the fits are the same bit for bit.
+
+The objective batches the bank and the restarts: one decode of the
+theta stack, every B_z from one batched product, one stacked Cholesky,
+every gradient slot from one einsum.  Only the triangular solves and the
+log-likelihood sum run per restart.  Sigma is still summed entry by
+entry in bank order from jitter*I, because float addition is not
+associative and the fits, which stop at max_iter, would move.
 """
 
 from __future__ import annotations
@@ -44,7 +53,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrs
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult
+from scipy.optimize._lbfgsb import setulb
 
 from .config import (
     MAX_JITTER,
@@ -69,6 +79,10 @@ logger = logging.getLogger(__name__)
 
 LOG_2PI = math.log(2.0 * math.pi)
 SQRT3 = math.sqrt(3.0)
+# lmc_covariance forms at most this many Kronecker-term entries at once: the
+# whole bank for the objective's small stacks, one entry at a time for a long
+# query grid, whose bank-wide terms would take a megabyte
+KRON_BLOCK = 1 << 15
 
 
 class Policy:
@@ -184,10 +198,22 @@ def unit_grams(x, y, length_scales) -> np.ndarray:
 
 
 def lmc_covariance(grams, variances, coregs, out: np.ndarray) -> np.ndarray:
-    """Add sum_z var_z kron(B_z, k_z) into ``out`` in bank order and return it."""
-    for var, coreg, gram in zip(variances, coregs, grams):
+    """Add sum_z var_z kron(B_z, k_z) into ``out`` in bank order and return it.
+
+    grams (Z, N, N'), variances (Z,) and coregs (Z, D, D) give out
+    (D*N, D*N').  A stack of P covariances takes variances (Z, P), coregs
+    (Z, P, D, D) and out (P, D*N, D*N').
+    """
+    z, rows, cols = grams.shape
+    gram = grams.reshape((z,) + (1,) * (coregs.ndim - 2) + (rows, 1, cols))
+    var = np.reshape(variances, np.shape(variances) + (1, 1, 1, 1))
+    step = max(1, KRON_BLOCK // out.size)
+    for lo in range(0, z, step):
         # kron(B, k) as np.kron forms it: the products B[a, b] k[i, j] laid out (a, i, b, j)
-        out += (var * (coreg[:, None, :, None] * gram[None, :, None, :])).reshape(out.shape)
+        terms = coregs[lo : lo + step, ..., :, None, :, None] * gram[lo : lo + step]
+        terms *= var[lo : lo + step]
+        for term in terms.reshape((-1,) + out.shape):
+            out += term
     return out
 
 
@@ -330,44 +356,87 @@ def _length_scales(entries: Sequence[KernelEntryConfig]) -> np.ndarray:
 
 
 def _decode(theta: np.ndarray, n_entries: int, dim: int):
-    """Variances (a list), W (Z, D, D) and raw kappas (Z, D), views of theta."""
-    rows = theta.reshape(n_entries, -1)
-    variances = [math.exp(log_var) for log_var in rows[:, 0]]
-    weights = rows[:, 1 : 1 + dim * dim].reshape(n_entries, dim, dim)
-    return variances, weights, rows[:, 1 + dim * dim :]
+    """Variances (..., Z), W (..., Z, D, D) and raw kappas (..., Z, D) of a
+    theta of shape (..., n); W and the raw kappas are views of theta."""
+    rows = theta.reshape(theta.shape[:-1] + (n_entries, -1))
+    log_vars = rows[..., 0]
+    # math.exp, as the fits were made with: numpy's vectorized exp may round differently
+    variances = np.array([math.exp(v) for v in log_vars.ravel().tolist()])
+    weights = rows[..., 1 : 1 + dim * dim].reshape(rows.shape[:-1] + (dim, dim))
+    return variances.reshape(log_vars.shape), weights, rows[..., 1 + dim * dim :]
+
+
+def _cholesky_rows(sigma: np.ndarray) -> list:
+    """Lower Cholesky factors of a (P, m, m) stack, None for a matrix that
+    is not positive definite."""
+    try:
+        return list(np.linalg.cholesky(sigma))
+    except np.linalg.LinAlgError:
+        pass
+    chols = []
+    for matrix in sigma:
+        try:
+            chols.append(np.linalg.cholesky(matrix))
+        except np.linalg.LinAlgError:
+            chols.append(None)
+    return chols
 
 
 def _neg_lml_and_grad(theta, grams, target, dim, jitter):
+    """Negative log marginal likelihood and its gradient in theta.
+
+    ``theta`` is one point (n,) or a stack (P, n), ``target`` one (m,)
+    shared by every point or a stack (P, m).  A stack gives values (P,)
+    and gradients (P, n), row p bit for bit the call on row p alone.  A
+    point whose Sigma is not positive definite gives (1e12, 0).
+    """
+    thetas = np.atleast_2d(theta)
+    problems = thetas.shape[0]
     n_entries, n = grams.shape[:2]
     m = dim * n
-    variances, weights, raw_kappas = _decode(theta, n_entries, dim)
-    coregs = weights @ weights.transpose(0, 2, 1)
+    targets = np.broadcast_to(target, (problems, m))
+    variances, weights, raw_kappas = _decode(thetas, n_entries, dim)
+    coregs = weights @ weights.swapaxes(-1, -2)
     diag = np.arange(dim)
-    coregs[:, diag, diag] += _softplus(raw_kappas)
-    sigma = lmc_covariance(grams, variances, coregs, jitter * np.eye(m))
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        return 1e12, np.zeros_like(theta)
-    # cho_solve's LAPACK call without its finiteness checks: theta and the target are finite
-    alpha, info = dpotrs(chol, target, lower=1)
-    sigma_inv, info_inv = dpotrs(chol, np.eye(m), lower=1)
-    if info or info_inv:
-        raise NumericalError(f"dpotrs failed with info {info or info_inv}")
-    lml = (
-        -0.5 * target @ alpha
-        - np.log(np.diag(chol)).sum()
-        - 0.5 * m * LOG_2PI
+    coregs[..., diag, diag] += _softplus(raw_kappas)
+    sigma = lmc_covariance(
+        grams, variances.T, coregs.swapaxes(0, 1), np.tile(jitter * np.eye(m), (problems, 1, 1))
     )
+    values = np.full(problems, 1e12)
+    alphas = np.zeros((problems, m))
+    sigma_invs = np.zeros((problems, m, m))
+    failed = []
+    eye = np.eye(m)
+    for p, chol in enumerate(_cholesky_rows(sigma)):
+        if chol is None:
+            failed.append(p)
+            continue
+        # cho_solve's LAPACK call without its finiteness checks: theta and the target are finite
+        alphas[p], info = dpotrs(chol, targets[p], lower=1)
+        sigma_invs[p], info_inv = dpotrs(chol, eye, lower=1)
+        if info or info_inv:
+            raise NumericalError(f"dpotrs failed with info {info or info_inv}")
+        lml = (
+            -0.5 * targets[p] @ alphas[p]
+            - np.log(np.diag(chol)).sum()
+            - 0.5 * m * LOG_2PI
+        )
+        values[p] = -lml
     # dLML/dtheta = 0.5 tr((alpha alpha^T - Sigma^-1) dSigma/dtheta)
-    gbar = np.outer(alpha, alpha) - sigma_inv
-    scaled = np.asarray(variances)[:, None, None] * grams
-    mb = 0.5 * np.einsum("aibj,zij->zab", gbar.reshape(dim, n, dim, n), scaled)
-    grad = np.empty((n_entries, theta.size // n_entries))
-    grad[:, 0] = np.sum(mb * coregs, axis=(1, 2))
-    grad[:, 1 : 1 + dim * dim] = ((mb + mb.transpose(0, 2, 1)) @ weights).reshape(n_entries, -1)
-    grad[:, 1 + dim * dim :] = np.diagonal(mb, axis1=1, axis2=2) * _sigmoid(raw_kappas)
-    return -lml, -grad.ravel()
+    gbar = alphas[:, :, None] * alphas[:, None, :] - sigma_invs
+    scaled = variances[..., None, None] * grams
+    mb = 0.5 * np.einsum("paibj,pzij->pzab", gbar.reshape(problems, dim, n, dim, n), scaled)
+    grad = np.empty((problems, n_entries, thetas.shape[1] // n_entries))
+    grad[..., 0] = np.sum(mb * coregs, axis=(-2, -1))
+    grad[..., 1 : 1 + dim * dim] = ((mb + mb.swapaxes(-1, -2)) @ weights).reshape(
+        problems, n_entries, -1
+    )
+    grad[..., 1 + dim * dim :] = np.diagonal(mb, axis1=-2, axis2=-1) * _sigmoid(raw_kappas)
+    grad = -grad.reshape(problems, -1)
+    grad[failed] = 0.0
+    if np.ndim(theta) == 1:
+        return values[0], grad[0]
+    return values, grad
 
 
 def _initial_theta(n_entries: int, dim: int, rng, perturb: bool):
@@ -386,6 +455,95 @@ def _initial_theta(n_entries: int, dim: int, rng, perturb: bool):
 def _bounds(n_entries: int, dim: int):
     slot = [LOG_VARIANCE_BOUNDS] + [(-WEIGHT_BOUND, WEIGHT_BOUND)] * (dim * dim)
     return (slot + [RAW_KAPPA_BOUNDS] * dim) * n_entries
+
+
+# --- L-BFGS-B in lockstep ------------------------------------------------------
+#
+# scipy.optimize.minimize(method="L-BFGS-B") with its default options, driven
+# through the reverse-communication routine it wraps.  setulb is private SciPy
+# API; tests run this driver against minimize from the same starts, so a SciPy
+# release that changes it fails loudly.
+
+LBFGSB_MAXCOR = 10
+LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+LBFGSB_PGTOL = 1e-5
+LBFGSB_MAXLS = 20
+LBFGSB_MAXFUN = 15000
+TASK_NEW_X, TASK_FG, TASK_CONVERGENCE, TASK_STOP = 1, 3, 4, 5
+STOP_MAXFUN, STOP_MAXITER = 502, 504
+
+
+class _LbfgsbRun:
+    """One L-BFGS-B minimization: setulb's state and minimize's counters."""
+
+    def __init__(self, x0, lower, upper, max_iter: int):
+        n, corrections = x0.size, LBFGSB_MAXCOR
+        self.x = np.clip(x0, lower, upper)
+        self.lower, self.upper = lower, upper
+        self.nbd = np.full(n, 2, dtype=np.int32)  # every variable has both bounds
+        self.f = 0.0
+        self.g = np.zeros(n)
+        self.wa = np.zeros(2 * corrections * n + 5 * n + 11 * corrections**2 + 8 * corrections)
+        self.iwa = np.zeros(3 * n, dtype=np.int32)
+        self.task = np.zeros(2, dtype=np.int32)
+        self.ln_task = np.zeros(2, dtype=np.int32)
+        self.lsave = np.zeros(4, dtype=np.int32)
+        self.isave = np.zeros(44, dtype=np.int32)
+        self.dsave = np.zeros(29)
+        self.max_iter = max_iter
+        self.nit = 0
+        self.nfev = 0
+
+    def advance(self) -> bool:
+        """Run setulb until it asks for f and g at ``x`` (True) or stops (False)."""
+        while True:
+            setulb(
+                LBFGSB_MAXCOR, self.x, self.lower, self.upper, self.nbd, self.f, self.g,
+                LBFGSB_FACTR, LBFGSB_PGTOL, self.wa, self.iwa, self.task, self.lsave,
+                self.isave, self.dsave, LBFGSB_MAXLS, self.ln_task,
+            )
+            if self.task[0] == TASK_FG:
+                return True
+            if self.task[0] != TASK_NEW_X:
+                return False
+            self.nit += 1
+            if self.nit >= self.max_iter:
+                self.task[:] = TASK_STOP, STOP_MAXITER
+            elif self.nfev > LBFGSB_MAXFUN:
+                self.task[:] = TASK_STOP, STOP_MAXFUN
+
+    def result(self) -> OptimizeResult:
+        if self.task[0] == TASK_CONVERGENCE:
+            status = 0
+        elif self.nfev > LBFGSB_MAXFUN or self.nit >= self.max_iter:
+            status = 1
+        else:
+            status = 2
+        return OptimizeResult(fun=self.f, x=self.x, nit=self.nit, nfev=self.nfev, status=status)
+
+
+def _lbfgsb_lockstep(fun, x0, bounds, max_iter: int) -> list:
+    """Minimize from each start in ``x0`` (P, n) with L-BFGS-B, all in lockstep.
+
+    ``fun`` maps a stack of points (k, n) to values (k,) and gradients
+    (k, n).  Each round answers the pending requests of every unfinished
+    run with one call.  ``bounds`` holds a finite (low, high) pair per
+    variable.  Returns one OptimizeResult per start, with the ``fun``,
+    ``x`` and ``nit`` of ``minimize(method="L-BFGS-B",
+    options={"maxiter": max_iter})`` from that start, bit for bit;
+    ``status`` is 0 on convergence, 1 at max_iter and 2 otherwise.
+    """
+    lower, upper = np.array(bounds, dtype=float).T.copy()
+    starts = np.atleast_2d(np.asarray(x0, dtype=float))
+    runs = [_LbfgsbRun(start, lower, upper, max_iter) for start in starts]
+    pending = [run for run in runs if run.advance()]
+    while pending:
+        values, grads = fun(np.stack([run.x for run in pending]))
+        for run, value, grad in zip(pending, values, grads):
+            run.f, run.g = value, grad.astype(np.float64)
+            run.nfev += 1
+        pending = [run for run in pending if run.advance()]
+    return [run.result() for run in runs]
 
 
 def _validate_training_set(levels, policies):
@@ -547,10 +705,10 @@ def fit_state_gp(
 ) -> StateGP:
     """Fit bank hyperparameters to one state's discrete-level policies.
 
-    Runs L-BFGS-B from ``optimizer.restarts`` starts (the first start is
-    a fixed default initialization, later ones are perturbed) and keeps
-    the solution with the highest marginal likelihood.  Deterministic
-    given (data, configs, state_id).
+    Runs L-BFGS-B from ``optimizer.restarts`` starts in lockstep (the
+    first start is a fixed default initialization, later ones are
+    perturbed) and keeps the solution with the highest marginal
+    likelihood.  Deterministic given (data, configs, state_id).
     """
     entries = tuple(bank_entries) if bank_entries is not None else default_bank_entries()
     opt = optimizer or OptimizerConfig()
@@ -561,23 +719,26 @@ def fit_state_gp(
     target = residual_target(y, zero_sum_basis(action_count))
 
     grams = unit_grams(x, x, _length_scales(entries))
-    bounds = _bounds(len(entries), dim)
     seed_key = state_id if state_id is not None else 0
     rng = np.random.default_rng(np.random.SeedSequence([opt.seed, seed_key]))
-
+    starts = [
+        _initial_theta(len(entries), dim, rng, perturb=restart > 0)
+        for restart in range(opt.restarts)
+    ]
+    results = _lbfgsb_lockstep(
+        lambda thetas: _neg_lml_and_grad(thetas, grams, target, dim, gpc.jitter),
+        starts,
+        _bounds(len(entries), dim),
+        opt.max_iter,
+    )
+    capped = sum(result.nit >= opt.max_iter for result in results)
+    logger.debug(
+        "state %s: %d of %d optimizer restarts stopped at max_iter=%d",
+        state_id, capped, len(results), opt.max_iter,
+    )
     best_theta = None
     best_nll = np.inf
-    for restart in range(opt.restarts):
-        theta0 = _initial_theta(len(entries), dim, rng, perturb=restart > 0)
-        result = minimize(
-            _neg_lml_and_grad,
-            theta0,
-            args=(grams, target, dim, gpc.jitter),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": opt.max_iter},
-        )
+    for result in results:
         if result.fun < best_nll:
             best_nll = result.fun
             best_theta = result.x

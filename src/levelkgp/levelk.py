@@ -332,12 +332,12 @@ class HighwayEnv:
                 vel[idx] = vel[leader]
         self.pos[:] = pos
         self.vel[:] = vel
-        rewards = (
-            cfg.w_speed * self.vel / cfg.speed_max
-            - cfg.w_collision * collided
-            - cfg.w_lane_change * changed
-        )
-        return StepResult(rewards=rewards, collided=collided, lane_changed=changed)
+        # in Python floats: numpy's call overhead on 10-element arrays costs more than the math
+        rewards = [
+            cfg.w_speed * v / cfg.speed_max - cfg.w_collision * c - cfg.w_lane_change * ch
+            for v, c, ch in zip(vel, collided.tolist(), changed.tolist())
+        ]
+        return StepResult(rewards=np.array(rewards), collided=collided, lane_changed=changed)
 
 
 def level0_policy(state: EnvState, epsilon: float = 0.01) -> Policy:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
+from scipy.optimize import minimize
 
 from levelkgp.config import MAX_JITTER, GPConfig, OptimizerConfig, default_bank_entries
 from levelkgp.errors import (
@@ -23,7 +24,9 @@ from levelkgp.gp import (
     ModelCache,
     Policy,
     StateGP,
+    _bounds,
     _initial_theta,
+    _lbfgsb_lockstep,
     _length_scales,
     _neg_lml_and_grad,
     _sigmoid,
@@ -248,6 +251,124 @@ def test_objective_matches_per_entry_loop_bit_for_bit(
     want_value, want_grad = _neg_lml_and_grad_loop(theta, grams, target, dim, 1e-6)
     assert value == want_value
     assert np.array_equal(grad, want_grad)
+
+
+def _stacked_objective_inputs(rng, n_actions, problems):
+    """Grams of the default bank, random in-bounds theta and one target per row."""
+    dim = n_actions - 1
+    entries = default_bank_entries()
+    grams = unit_grams(LEVELS, LEVELS, _length_scales(entries))
+    low, high = np.array(_bounds(len(entries), dim)).T
+    thetas = rng.uniform(low, high, size=(problems, low.size))
+    targets = np.stack(
+        [
+            residual_target(random_policies(rng, n_actions=n_actions), zero_sum_basis(n_actions))
+            for _ in range(problems)
+        ]
+    )
+    return grams, thetas, targets, dim
+
+
+@pytest.mark.parametrize("n_actions", [5, 2])
+@pytest.mark.parametrize("problems", [1, 2, 4, 24])
+def test_stacked_objective_rows_match_per_entry_loop(rng, n_actions, problems):
+    grams, thetas, targets, dim = _stacked_objective_inputs(rng, n_actions, problems)
+    values, grads = _neg_lml_and_grad(thetas, grams, targets, dim, 1e-6)
+    assert values.shape == (problems,) and grads.shape == thetas.shape
+    for theta, target, value, grad in zip(thetas, targets, values, grads):
+        want_value, want_grad = _neg_lml_and_grad_loop(theta, grams, target, dim, 1e-6)
+        assert value == want_value
+        assert np.array_equal(grad, want_grad)
+    # a shared (m,) target broadcasts over the stack
+    shared_values, shared_grads = _neg_lml_and_grad(thetas, grams, targets[0], dim, 1e-6)
+    for theta, value, grad in zip(thetas, shared_values, shared_grads):
+        want_value, want_grad = _neg_lml_and_grad_loop(theta, grams, targets[0], dim, 1e-6)
+        assert value == want_value
+        assert np.array_equal(grad, want_grad)
+
+
+def test_stacked_objective_isolates_a_non_positive_definite_row(rng):
+    grams, thetas, targets, dim = _stacked_objective_inputs(rng, 5, 4)
+    # huge variances on rank-one B_z with kappa = 0: Sigma is singular to working precision
+    slot = np.concatenate(([20.0], np.full(dim * dim, 5.0), np.full(dim, -800.0)))
+    thetas[2] = np.tile(slot, len(grams))
+    assert _neg_lml_and_grad_loop(thetas[2], grams, targets[2], dim, 1e-6)[0] == 1e12
+    values, grads = _neg_lml_and_grad(thetas, grams, targets, dim, 1e-6)
+    assert values[2] == 1e12
+    assert np.array_equal(grads[2], np.zeros(thetas.shape[1]))
+    for row in (0, 1, 3):
+        want_value, want_grad = _neg_lml_and_grad_loop(thetas[row], grams, targets[row], dim, 1e-6)
+        assert values[row] == want_value
+        assert np.array_equal(grads[row], want_grad)
+
+
+# desk at seed 7: the training policies of state 1214, whose restart 0 converges at nit 68
+STATE_1214_POLICIES = [
+    [0.99, 0.0025, 0.0025, 0.0025, 0.0025],
+    [0.43389636033206885, 0.1933076090054442, 0.12426534355416227, 0.12426534355416227,
+     0.12426534355416227],
+    [0.5302639007014095, 0.10672338133708088, 0.09136254198919071, 0.06313015104565309,
+     0.20852002492666571],
+    [0.7303120782862843, 0.04001285723168956, 0.04927988821194794, 0.05206413132668442,
+     0.12833104494339362],
+]
+
+
+def _restart_problem(policies, state_id, restarts):
+    """The objective's arguments and the starts that fit_state_gp uses for a state."""
+    entries = default_bank_entries()
+    dim = policies.shape[1] - 1
+    target = residual_target(policies, zero_sum_basis(policies.shape[1]))
+    grams = unit_grams(LEVELS, LEVELS, _length_scales(entries))
+    rng = np.random.default_rng(np.random.SeedSequence([OptimizerConfig().seed, state_id]))
+    starts = np.stack(
+        [_initial_theta(len(entries), dim, rng, perturb=r > 0) for r in range(restarts)]
+    )
+    return (grams, target, dim, 1e-6), starts, _bounds(len(entries), dim)
+
+
+def _assert_lockstep_matches_minimize(args, starts, bounds, max_iter):
+    results = _lbfgsb_lockstep(
+        lambda thetas: _neg_lml_and_grad(thetas, *args), starts, bounds, max_iter
+    )
+    assert len(results) == len(starts)
+    for start, got in zip(starts, results):
+        want = minimize(
+            _neg_lml_and_grad, start, args=args, jac=True, method="L-BFGS-B",
+            bounds=bounds, options={"maxiter": max_iter},
+        )
+        assert got.fun == want.fun
+        assert np.array_equal(got.x, want.x)
+        assert got.nit == want.nit
+        assert got.status == want.status
+    return results
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 200])
+@pytest.mark.parametrize("restarts", [1, 4])
+def test_lockstep_lbfgsb_matches_scipy_minimize(max_iter, restarts):
+    args, starts, bounds = _restart_problem(np.array(STATE_1214_POLICIES), 1214, restarts)
+    results = _assert_lockstep_matches_minimize(args, starts, bounds, max_iter)
+    if max_iter == 200:
+        assert results[0].nit == 68 and results[0].status == 0
+
+
+def test_lockstep_lbfgsb_matches_minimize_from_starts_outside_the_bounds(rng):
+    args, starts, bounds = _restart_problem(random_policies(rng), 3, 2)
+    starts[:, 0] = [-50.0, 50.0]  # the first log variance, outside (-12, 6)
+    _assert_lockstep_matches_minimize(args, starts, bounds, 3)
+
+
+def test_fit_logs_restarts_stopped_at_max_iter(caplog):
+    policies = np.array(STATE_1214_POLICIES)
+    with caplog.at_level("DEBUG", logger="levelkgp.gp"):
+        fit_state_gp(LEVELS, policies, state_id=1214)
+    lines = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
+    assert lines == ["state 1214: 3 of 4 optimizer restarts stopped at max_iter=200"]
+    caplog.clear()
+    with caplog.at_level("INFO", logger="levelkgp.gp"):
+        fit_state_gp(LEVELS, policies, state_id=1214)
+    assert caplog.records == []
 
 
 def log_marginal_likelihood(levels, policies, params, jitter=1e-6):
