@@ -20,6 +20,8 @@ from .errors import ConfigurationError
 DEFAULT_MATERN_LENGTH_SCALES = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
 # Cap of the jitter escalation in the GP's Cholesky factorizations.
 MAX_JITTER = 1e-2
+# Decimals of the speeds in the trajectory files that the export writes.
+EXPORT_SPEED_DECIMALS = 4
 # Bins of the report's level histogram; their ends bound the level search.
 LEVEL_INTERVAL_EDGES = (
     0.0, 0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 1.7, 1.9, 2.1, 2.3, 2.5, 2.7, 3.0,
@@ -72,10 +74,8 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ConfigurationError("optimizer needs at least one restart")
-        if self.max_iter < 1:
-            raise ConfigurationError("max_iter must be positive")
+        _require_int(self.restarts, "optimizer.restarts", 1)
+        _require_int(self.max_iter, "optimizer.max_iter", 1)
         _require_int(self.seed, "optimizer.seed", 0)
 
 
@@ -123,8 +123,7 @@ class EnvConfig:
     w_lane_change: float = 0.15
 
     def __post_init__(self):
-        if self.n_lanes < 2:
-            raise ConfigurationError("need at least two lanes")
+        _require_int(self.n_lanes, "env.n_lanes", 2)
         _require_int(self.n_vehicles, "env.n_vehicles", 2)
         _require_int(self.episode_steps, "env.episode_steps", 1)
         if self.dt <= 0 or self.ring_length <= 0 or self.speed_max <= 0:
@@ -133,8 +132,7 @@ class EnvConfig:
             edges = list(getattr(self, key))
             if not edges or edges != sorted(edges):
                 raise ConfigurationError(f"{key} must be non-empty and increasing")
-        if self.speed_bin_count < 1:
-            raise ConfigurationError("speed_bin_count must be at least 1")
+        _require_int(self.speed_bin_count, "env.speed_bin_count", 1)
 
 
 @dataclass(frozen=True)
@@ -149,8 +147,7 @@ class RLConfig:
     epsilon_end: float = 0.05
 
     def __post_init__(self):
-        if self.max_level < 1:
-            raise ConfigurationError("max_level must be at least 1")
+        _require_int(self.max_level, "rl.max_level", 1)
         _require_int(self.episodes, "rl.episodes", 1)
         if not 0 < self.learning_rate <= 1:
             raise ConfigurationError("learning_rate must lie in (0, 1]")
@@ -181,8 +178,7 @@ class SAConfig:
             raise ConfigurationError("initial_temperature must be positive")
         if not 0 < self.cooling < 1:
             raise ConfigurationError("cooling must lie in (0, 1)")
-        if self.max_steps < 1:
-            raise ConfigurationError("max_steps must be positive")
+        _require_int(self.max_steps, "sa.max_steps", 1)
         if self.level_high <= self.level_low:
             raise ConfigurationError("level_high must exceed level_low")
         if not self.restart_levels:
@@ -202,8 +198,7 @@ class FitConfig:
     two_sample: bool = False
 
     def __post_init__(self):
-        if self.n_th < 1:
-            raise ConfigurationError("n_th must be positive")
+        _require_int(self.n_th, "fit.n_th", 1)
         if not 0 < self.theta_th < 1:
             raise ConfigurationError("theta_th must lie in (0, 1)")
         if not 0 < self.probability_floor < 0.5:
@@ -223,8 +218,19 @@ class DataConfig:
             raise ConfigurationError("frame_dt must be positive")
         if self.accel_threshold <= 0:
             raise ConfigurationError("accel_threshold must be positive")
-        if self.hard_brake_threshold >= 0:
-            raise ConfigurationError("hard_brake_threshold must be negative")
+        if self.hard_brake_threshold >= -self.accel_threshold:
+            raise ConfigurationError(
+                "data.hard_brake_threshold must lie below -data.accel_threshold, "
+                "or no acceleration is labeled decelerate"
+            )
+        # the export writes each action's acceleration `margin` or more inside its band;
+        # two speeds rounded to the file's decimals move a frame's change by up to a step
+        margin = min(self.accel_threshold, -(self.hard_brake_threshold + self.accel_threshold) / 2)
+        if margin * self.frame_dt < 2 * 10.0**-EXPORT_SPEED_DECIMALS:
+            raise ConfigurationError(
+                "data.accel_threshold and data.hard_brake_threshold leave an action band "
+                "that the trajectory file's speeds cannot resolve over one data.frame_dt"
+            )
 
 
 @dataclass(frozen=True)
@@ -238,8 +244,7 @@ class DriverSpec:
     def __post_init__(self):
         if not self.driver_id:
             raise ConfigurationError("driver_id must be non-empty")
-        if self.samples_per_state < 1:
-            raise ConfigurationError("samples_per_state must be positive")
+        _require_int(self.samples_per_state, "synthesis.drivers[].samples_per_state", 1)
 
 
 @dataclass(frozen=True)
@@ -255,8 +260,8 @@ class SynthesisConfig:
     )
 
     def __post_init__(self):
-        if self.n_states < 1:
-            raise ConfigurationError("n_states must be positive")
+        _require_int(self.n_states, "synthesis.n_states", 1)
+        _require_int(self.min_state_visits, "synthesis.min_state_visits", 1)
         ids = [d.driver_id for d in self.drivers]
         if len(ids) != len(set(ids)):
             raise ConfigurationError("driver ids must be unique")
@@ -294,6 +299,15 @@ class MasterConfig:
             raise ConfigurationError(
                 f"sa.level_low and sa.level_high must lie in [{low}, {high}], "
                 "the level range the report bins"
+            )
+        # the export's hard brake must not stop the slowest bin's representative speed
+        slowest = 0.5 * (self.env.speed_max / self.env.speed_bin_count)
+        hard_brake = self.data.hard_brake_threshold - self.data.accel_threshold
+        if slowest + hard_brake * self.data.frame_dt < 0:
+            raise ConfigurationError(
+                f"data.hard_brake_threshold - data.accel_threshold = {hard_brake} over one "
+                f"data.frame_dt would stop the slowest speed bin's {slowest} m/s, so the "
+                "export could not write a hard brake there"
             )
         for i, spec in enumerate(self.synthesis.drivers):
             if not self.sa.level_low <= spec.level <= self.sa.level_high:

@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import DataConfig, DriverSpec, EnvConfig
+from .config import EXPORT_SPEED_DECIMALS, DataConfig, DriverSpec, EnvConfig
 from .errors import InputError, SchemaError, read_json
 from .fitting import DriverRecord, _driver_key
 from .gp import Policy
@@ -54,15 +54,6 @@ logger = logging.getLogger(__name__)
 REQUIRED_COLUMNS = ("vehicle_id", "frame", "local_x", "local_y", "lane_id", "velocity")
 
 LANE_WIDTH = 3.7
-
-# representative accelerations used when emitting synthetic rows
-_EXPORT_ACCEL = {
-    MAINTAIN: 0.0,
-    ACCELERATE: 1.0,
-    DECELERATE: -1.0,
-    HARD_BRAKE: -3.0,
-    CHANGE_LANE: 0.0,
-}
 
 
 @dataclass
@@ -238,10 +229,8 @@ def sample_driver_actions(
     return actions
 
 
-def record_from_actions(
-    driver_id: str, actions_by_state: dict[int, list[int]], action_count: int = N_ACTIONS
-) -> DriverRecord:
-    record = DriverRecord(driver_id=driver_id, action_count=action_count)
+def record_from_actions(driver_id: str, actions_by_state: dict[int, list[int]]) -> DriverRecord:
+    record = DriverRecord(driver_id=driver_id, action_count=N_ACTIONS)
     for sid, actions in actions_by_state.items():
         for action in actions:
             record.add(sid, action)
@@ -255,6 +244,21 @@ def _check_scene_state(state: EnvState, env_cfg: EnvConfig):
         raise InputError("rear_left_bin inconsistent with lane geometry")
     if right_exists != (state.rear_right_bin > 0):
         raise InputError("rear_right_bin inconsistent with lane geometry")
+
+
+def _export_accel(data_cfg: DataConfig) -> dict[int, float]:
+    """The acceleration the export writes for each action, inside the band
+    that ``_label_action`` gives that action: hard brake one threshold below
+    the hard-brake threshold, decelerate at twice the threshold down or
+    midway between the two bands, whichever is higher."""
+    thr, hard = data_cfg.accel_threshold, data_cfg.hard_brake_threshold
+    return {
+        MAINTAIN: 0.0,
+        ACCELERATE: 2 * thr,
+        DECELERATE: max(-2 * thr, (hard - thr) / 2),
+        HARD_BRAKE: hard - thr,
+        CHANGE_LANE: 0.0,
+    }
 
 
 def _lane_x(lane: int) -> float:
@@ -276,6 +280,7 @@ def export_trajectories(
     ego's counts exactly; context vehicles contribute no transitions.
     """
     data_cfg = data_cfg or DataConfig()
+    accel_of = _export_accel(data_cfg)
     disc = Discretizer(env_cfg)
     anchor_y = 500.0
     episodes = 0
@@ -336,7 +341,7 @@ def export_trajectories(
                     next_v = ego_v
                 else:
                     next_lane = state.lane
-                    next_v = max(ego_v + _EXPORT_ACCEL[action] * data_cfg.frame_dt, 0.0)
+                    next_v = max(ego_v + accel_of[action] * data_cfg.frame_dt, 0.0)
                 rows.append(
                     (
                         ego_id,
@@ -348,8 +353,9 @@ def export_trajectories(
                     )
                 )
                 for row in rows:
+                    speed = f"{row[5]:.{EXPORT_SPEED_DECIMALS}f}"
                     writer.writerow(
-                        (row[0], row[1], f"{row[2]:.3f}", f"{row[3]:.3f}", row[4], f"{row[5]:.4f}")
+                        (row[0], row[1], f"{row[2]:.3f}", f"{row[3]:.3f}", row[4], speed)
                     )
                 episodes += 1
                 frame += 3

@@ -62,3 +62,22 @@ def file_section(name: str):
         raise SchemaError(f"malformed {name}: missing key {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed {name}: {exc}") from exc
+
+
+# the JSON types of a strict reader, keyed by the name its errors give them
+JSON_TYPES = {
+    "an integer": (int,),
+    "a number": (int, float),
+    "a boolean": (bool,),
+    "a string": (str,),
+}
+
+
+def json_value(value, name: str, kind: str):
+    """``value`` when its type is the JSON type ``kind``, a key of JSON_TYPES,
+    so a boolean is no number and a fraction no integer.  Otherwise a
+    TypeError, which ``file_section`` reports as a SchemaError naming the
+    section."""
+    if type(value) not in JSON_TYPES[kind]:
+        raise TypeError(f"{name} must be {kind}, got {value!r}")
+    return value

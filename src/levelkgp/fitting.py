@@ -32,7 +32,7 @@ from .config import (
     OptimizerConfig,
     SAConfig,
 )
-from .errors import InputError, SchemaError, file_section, read_json
+from .errors import InputError, SchemaError, file_section, json_value, read_json
 from .gp import ModelCache, Policy, StateGP, fit_state_gp, shift_normalize
 
 logger = logging.getLogger(__name__)
@@ -89,12 +89,11 @@ class DriverRecord:
     def from_dict(cls, doc: dict) -> "DriverRecord":
         with file_section("driver record"):
             counts = {int(s): _count_row(s, v) for s, v in doc["counts"].items()}
-            action_count = doc["action_count"]
-            if type(action_count) is not int:
-                raise SchemaError(
-                    f"malformed driver record: action_count must be an integer, got {action_count!r}"
-                )
-            return cls(driver_id=doc["driver_id"], action_count=action_count, counts=counts)
+            return cls(
+                driver_id=json_value(doc["driver_id"], "driver_id", "a string"),
+                action_count=json_value(doc["action_count"], "action_count", "an integer"),
+                counts=counts,
+            )
 
 
 def _count_row(state, row) -> np.ndarray:
@@ -143,9 +142,8 @@ def ks_acceptance(d, n: int, n2: Optional[int] = None):
     finite-sample correction.  With n2 the two-sample effective size
     n*n2/(n+n2) replaces n.
     """
-    # a scalar skips the array reductions, which cost more than the K-S sum
-    lo, hi = (d.min(), d.max()) if isinstance(d, np.ndarray) else (d, d)
-    if not (lo >= 0 and hi <= 1):
+    d = np.asarray(d)
+    if not (d.min() >= 0 and d.max() <= 1):
         raise InputError(f"statistic must lie in [0, 1], got {d}")
     if n < 1 or (n2 is not None and n2 < 1):
         raise InputError("sample sizes must be positive")
@@ -223,20 +221,28 @@ class DriverReport:
         with file_section("driver report"):
             results = [
                 FitResult(
-                    state_id=int(r["state_id"]),
-                    n_obs=int(r["n_obs"]),
-                    level=float(r["level"]),
-                    crit=float(r["crit"]),
-                    success=bool(r["success"]),
-                    method=r["method"],
-                    restarts=tuple(tuple(t) for t in r["restarts"]),
+                    state_id=json_value(r["state_id"], "state_id", "an integer"),
+                    n_obs=json_value(r["n_obs"], "n_obs", "an integer"),
+                    level=float(json_value(r["level"], "level", "a number")),
+                    crit=float(json_value(r["crit"], "crit", "a number")),
+                    success=json_value(r["success"], "success", "a boolean"),
+                    method=json_value(r["method"], "method", "a string"),
+                    restarts=tuple(
+                        (
+                            json_value(level, "restart level", "a number"),
+                            json_value(crit, "restart crit", "a number"),
+                        )
+                        for level, crit in r["restarts"]
+                    ),
                 )
                 for r in doc["results"]
             ]
             return cls(
-                driver_id=doc["driver_id"],
-                method=doc["method"],
-                n_states_observed=int(doc["n_states_observed"]),
+                driver_id=json_value(doc["driver_id"], "driver_id", "a string"),
+                method=json_value(doc["method"], "method", "a string"),
+                n_states_observed=json_value(
+                    doc["n_states_observed"], "n_states_observed", "an integer"
+                ),
                 results=results,
             )
 
@@ -259,8 +265,9 @@ def sa_chains(
     the published rule that damps improvements instead.  Each chain
     returns the best (level, score) seen anywhere in its walk.
     """
-    low, high = sa_cfg.level_low, sa_cfg.level_high
-    levels = [float(np.clip(init, low, high)) for init in init_levels]
+    # min and max of Python floats: np.clip costs more per scalar than a step's other math
+    low, high = float(sa_cfg.level_low), float(sa_cfg.level_high)
+    levels = [min(max(float(init), low), high) for init in init_levels]
     scores = list(score_fn(levels))
     best = list(zip(levels, scores))
     temp = sa_cfg.initial_temperature
@@ -269,7 +276,7 @@ def sa_chains(
     for _ in range(sa_cfg.max_steps):
         scale = sa_cfg.neighbor_scale * (temp / sa_cfg.initial_temperature) * span
         candidates = [
-            float(np.clip(level + rng.normal(0.0, scale), low, high))
+            min(max(level + rng.normal(0.0, scale), low), high)
             for level, rng in zip(levels, rngs)
         ]
         for i, cand_score in enumerate(score_fn(candidates)):
@@ -363,18 +370,19 @@ class LevelFitter:
         self.cache = cache if cache is not None else ModelCache()
 
     def model_for(self, state_id: int) -> StateGP:
-        def build() -> StateGP:
-            policies = self.builder(state_id)
-            return fit_state_gp(
-                self.discrete_levels,
-                policies,
-                bank_entries=self.bank_entries,
-                optimizer=self.optimizer,
-                gp_config=self.gp_config,
-                state_id=state_id,
+        """The cached model of a state, fitted and cached on first use."""
+        if state_id not in self.cache:
+            self.cache.put(
+                fit_state_gp(
+                    self.discrete_levels,
+                    self.builder(state_id),
+                    bank_entries=self.bank_entries,
+                    optimizer=self.optimizer,
+                    gp_config=self.gp_config,
+                    state_id=state_id,
+                )
             )
-
-        return self.cache.get_or_fit(state_id, build)
+        return self.cache.get(state_id)
 
     # -- single-state fits -------------------------------------------------
 

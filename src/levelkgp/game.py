@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import InputError
 
+# levels whose coefficients differ by at most this much tie
 TIE_TOL = 1e-12
 
 
@@ -55,8 +56,8 @@ class MixedStrategy:
     def max_level(self) -> int:
         return self.coeffs.size - 1
 
-    def support(self, tol: float = TIE_TOL) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.nonzero(self.coeffs > tol)[0])
+    def support(self) -> tuple[int, ...]:
+        return tuple(int(i) for i in np.nonzero(self.coeffs > TIE_TOL)[0])
 
     @classmethod
     def uniform_over(cls, levels: Sequence[int], n_levels: int) -> "MixedStrategy":
@@ -91,22 +92,20 @@ class BestResponseResult:
     value: float
 
 
-def best_response_set(
-    opponent: MixedStrategy, tie_tol: float = TIE_TOL
-) -> BestResponseResult:
+def best_response_set(opponent: MixedStrategy) -> BestResponseResult:
     """Best-response levels, a uniform mixture over them, and the value.
 
     The opponent may not play the top level of the universe; responding
     one step above it would leave the universe.
     """
     c = opponent.coeffs
-    if c[-1] > tie_tol:
+    if c[-1] > TIE_TOL:
         raise InputError(
             "opponent plays the top level; no best response inside the universe"
         )
     body = c[:-1]
     value = float(body.max())
-    levels = tuple(int(j) + 1 for j in np.nonzero(body >= value - tie_tol)[0])
+    levels = tuple(int(j) + 1 for j in np.nonzero(body >= value - TIE_TOL)[0])
     strategy = MixedStrategy.uniform_over(levels, opponent.n_levels)
     return BestResponseResult(levels=levels, strategy=strategy, value=value)
 
@@ -126,14 +125,13 @@ def simplex_grid(units: int, parts: int) -> Iterator[tuple[int, ...]]:
 def brute_force_best_response(
     opponent: MixedStrategy,
     grid_step: float = 0.05,
-    tie_tol: float = TIE_TOL,
 ) -> tuple[float, list[MixedStrategy]]:
     """Grid search over responder mixtures on levels 1..K.
 
     Returns the best utility found and every grid mixture achieving it
-    within tie_tol.  The grid contains all pure strategies, so the
+    within TIE_TOL.  The grid contains all pure strategies, so the
     maximum matches the true value exactly.  The whole grid is scored as
-    one matrix product; only the rows within tie_tol of the maximum
+    one matrix product; only the rows within TIE_TOL of the maximum
     become strategies.
     """
     if not 0 < grid_step <= 1:
@@ -146,5 +144,5 @@ def brute_force_best_response(
     # mixed_utility of each row: responder level j+1 against opponent level j
     values = grid[:, 1:] @ opponent.coeffs[:-1]
     best_value = float(values.max())
-    argmax = [MixedStrategy(row) for row in grid[values >= best_value - tie_tol]]
+    argmax = [MixedStrategy(row) for row in grid[values >= best_value - TIE_TOL]]
     return best_value, argmax

@@ -48,7 +48,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -382,19 +382,17 @@ def _cholesky_rows(sigma: np.ndarray) -> list:
     return chols
 
 
-def _neg_lml_and_grad(theta, grams, target, dim, jitter):
-    """Negative log marginal likelihood and its gradient in theta.
+def _neg_lml_and_grad(thetas, grams, target, dim, jitter):
+    """Negative log marginal likelihood and its gradient at each row of a
+    theta stack (P, n), all for one target (m,).
 
-    ``theta`` is one point (n,) or a stack (P, n), ``target`` one (m,)
-    shared by every point or a stack (P, m).  A stack gives values (P,)
-    and gradients (P, n), row p bit for bit the call on row p alone.  A
-    point whose Sigma is not positive definite gives (1e12, 0).
+    Gives values (P,) and gradients (P, n), row p bit for bit the call on
+    row p alone.  A row whose Sigma is not positive definite gives
+    (1e12, 0).
     """
-    thetas = np.atleast_2d(theta)
     problems = thetas.shape[0]
     n_entries, n = grams.shape[:2]
     m = dim * n
-    targets = np.broadcast_to(target, (problems, m))
     variances, weights, raw_kappas = _decode(thetas, n_entries, dim)
     coregs = weights @ weights.swapaxes(-1, -2)
     diag = np.arange(dim)
@@ -412,12 +410,12 @@ def _neg_lml_and_grad(theta, grams, target, dim, jitter):
             failed.append(p)
             continue
         # cho_solve's LAPACK call without its finiteness checks: theta and the target are finite
-        alphas[p], info = dpotrs(chol, targets[p], lower=1)
+        alphas[p], info = dpotrs(chol, target, lower=1)
         sigma_invs[p], info_inv = dpotrs(chol, eye, lower=1)
         if info or info_inv:
             raise NumericalError(f"dpotrs failed with info {info or info_inv}")
         lml = (
-            -0.5 * targets[p] @ alphas[p]
+            -0.5 * target @ alphas[p]
             - np.log(np.diag(chol)).sum()
             - 0.5 * m * LOG_2PI
         )
@@ -434,8 +432,6 @@ def _neg_lml_and_grad(theta, grams, target, dim, jitter):
     grad[..., 1 + dim * dim :] = np.diagonal(mb, axis1=-2, axis2=-1) * _sigmoid(raw_kappas)
     grad = -grad.reshape(problems, -1)
     grad[failed] = 0.0
-    if np.ndim(theta) == 1:
-        return values[0], grad[0]
     return values, grad
 
 
@@ -755,11 +751,7 @@ def fit_state_gp(
 
 
 class ModelCache:
-    """Store of fitted per-state models, keyed by state id.
-
-    ``get_or_fit`` builds a missing model once and keeps it, so fits are
-    shared across drivers.
-    """
+    """Store of fitted per-state models, keyed by state id."""
 
     def __init__(self):
         self._models: dict[int, StateGP] = {}
@@ -783,15 +775,6 @@ class ModelCache:
 
     def state_ids(self) -> list[int]:
         return sorted(self._models)
-
-    def get_or_fit(self, state_id: int, builder: Callable[[], StateGP]) -> StateGP:
-        model = self._models.get(state_id)
-        if model is None:
-            model = builder()
-            if model.state_id != state_id:
-                raise InputError("builder returned a model for a different state")
-            self._models[state_id] = model
-        return model
 
     def save_dir(self, path: str | Path):
         """Write one state_<id>.json per model and remove the model files of

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .config import EnvConfig, RLConfig
-from .errors import InputError, MissingStateError, SchemaError, file_section, read_json
+from .errors import InputError, MissingStateError, SchemaError, file_section, json_value, read_json
 from .gp import Policy
 
 logger = logging.getLogger(__name__)
@@ -32,6 +32,8 @@ logger = logging.getLogger(__name__)
 ACTIONS = ("maintain", "accelerate", "decelerate", "hard_brake", "change_lane")
 MAINTAIN, ACCELERATE, DECELERATE, HARD_BRAKE, CHANGE_LANE = range(5)
 N_ACTIONS = len(ACTIONS)
+# probability mass the level-0 rule spreads over the actions it does not pick
+LEVEL0_EPSILON = 0.01
 
 REL_SLOWER, REL_STEADY, REL_FASTER = range(3)
 
@@ -262,18 +264,6 @@ class HighwayEnv:
         self._observed = (lane, pos, lanes, fronts)
         return out
 
-    def _lane_change_ok(self, lanes, idx: int, target: int) -> bool:
-        if not 0 <= target < self.cfg.n_lanes:
-            return False
-        pos = float(self.pos[idx])
-        rear_gap, rear = self._behind(lanes, target, pos, idx)
-        front_gap, front = self._ahead(lanes, target, pos, idx)
-        if rear is not None and rear_gap < self.cfg.lane_change_min_rear_gap:
-            return False
-        if front is not None and front_gap < self.cfg.collision_gap:
-            return False
-        return True
-
     def _lane_change_target(self, lanes, idx: int) -> Optional[int]:
         """Adjacent lane with the larger headway among the safe ones."""
         lane = int(self.lane[idx])
@@ -281,9 +271,14 @@ class HighwayEnv:
         best = None
         best_gap = -1.0
         for target in (lane - 1, lane + 1):
-            if not self._lane_change_ok(lanes, idx, target):
+            if not 0 <= target < self.cfg.n_lanes:
                 continue
-            gap, _ = self._ahead(lanes, target, pos, idx)
+            rear_gap, rear = self._behind(lanes, target, pos, idx)
+            if rear is not None and rear_gap < self.cfg.lane_change_min_rear_gap:
+                continue
+            gap, front = self._ahead(lanes, target, pos, idx)
+            if front is not None and gap < self.cfg.collision_gap:
+                continue
             if gap > best_gap:
                 best_gap = gap
                 best = target
@@ -340,8 +335,8 @@ class HighwayEnv:
         return StepResult(rewards=np.array(rewards), collided=collided, lane_changed=changed)
 
 
-def level0_policy(state: EnvState, epsilon: float = 0.01) -> Policy:
-    """Gap-keeping rule with epsilon mass spread over the other actions."""
+def level0_policy(state: EnvState) -> Policy:
+    """Gap-keeping rule with LEVEL0_EPSILON spread over the other actions."""
     if state.front_gap_bin == 0:
         pick = HARD_BRAKE
     elif state.front_gap_bin == 1:
@@ -350,8 +345,8 @@ def level0_policy(state: EnvState, epsilon: float = 0.01) -> Policy:
         pick = MAINTAIN if state.front_rel_speed_bin == REL_SLOWER else ACCELERATE
     else:
         pick = ACCELERATE
-    probs = np.full(N_ACTIONS, epsilon / (N_ACTIONS - 1))
-    probs[pick] = 1.0 - epsilon
+    probs = np.full(N_ACTIONS, LEVEL0_EPSILON / (N_ACTIONS - 1))
+    probs[pick] = 1.0 - LEVEL0_EPSILON
     return Policy(probs)
 
 
@@ -397,10 +392,13 @@ class QTable:
         """One level of a q-table document; ``PolicySet.from_dict`` names the
         level when the document is malformed."""
         table = cls(
-            level=int(doc["level"]),
-            action_count=int(doc["action_count"]),
-            q={int(s): np.asarray(v, dtype=float) for s, v in doc["q"].items()},
-            visits={int(s): int(v) for s, v in doc["visits"].items()},
+            level=json_value(doc["level"], "level", "an integer"),
+            action_count=json_value(doc["action_count"], "action_count", "an integer"),
+            q={int(s): _q_row(s, v) for s, v in doc["q"].items()},
+            visits={
+                int(s): json_value(v, f"visits of state {s}", "an integer")
+                for s, v in doc["visits"].items()
+            },
         )
         for sid, values in table.q.items():
             where = f"level {table.level} state {sid}"
@@ -411,6 +409,13 @@ class QTable:
             if not np.all(np.isfinite(values)):
                 raise SchemaError(f"{where}: q values must be finite")
         return table
+
+
+def _q_row(state, row) -> np.ndarray:
+    """One state's q values as read from a file: a list of JSON numbers."""
+    if not (isinstance(row, list) and all(type(v) in (int, float) for v in row)):
+        raise TypeError(f"state {state}: q values must be JSON numbers, got {row!r}")
+    return np.asarray(row, dtype=float)
 
 
 class PolicySampler:
@@ -489,24 +494,26 @@ class PolicySet:
     """
 
     def __init__(self, env_cfg: EnvConfig, tables: dict[int, QTable]):
-        if not tables:
-            raise InputError("need at least one trained level")
-        got = sorted(tables)
-        if got != list(range(1, len(got) + 1)):
-            raise InputError(f"levels must be 1..K, got {got}")
         self.disc = Discretizer(env_cfg)
-        for k, table in tables.items():
-            if table.level != k:
-                raise InputError("table level does not match its key")
-            if not table.q:
-                raise InputError(f"level {k} table is empty")
-            if min(table.q) < 0 or max(table.q) >= self.disc.n_states:
-                raise InputError(f"level {k} table holds a state id out of range")
         self.env_cfg = env_cfg
-        self.tables = tables
+        self.tables: dict[int, QTable] = {}
         self._fallback: dict[tuple[int, int], int] = {}
         self._decoded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._policy_cache: dict[tuple[int, int], Policy] = {}
+        for k, table in sorted(tables.items()):
+            if table.level != k:
+                raise InputError("table level does not match its key")
+            self.add(table)
+
+    def add(self, table: QTable):
+        """Append the table of the next level, max_level + 1."""
+        k = self.max_level + 1
+        if table.level != k:
+            raise InputError(f"levels must be 1..K: got level {table.level} after {k - 1}")
+        if not table.q:
+            raise InputError(f"level {k} table is empty")
+        if min(table.q) < 0 or max(table.q) >= self.disc.n_states:
+            raise InputError(f"level {k} table holds a state id out of range")
+        self.tables[k] = table
 
     @property
     def max_level(self) -> int:
@@ -552,17 +559,11 @@ class PolicySet:
         return counts
 
     def policy(self, level: int, sid: int) -> Policy:
-        if level != 0 and level not in self.tables:
+        if level == 0:
+            return level0_policy(self.disc.state_from_id(sid))
+        if level not in self.tables:
             raise InputError(f"no table for level {level}")
-        key = (level, sid)
-        cached = self._policy_cache.get(key)
-        if cached is None:
-            if level == 0:
-                cached = level0_policy(self.disc.state_from_id(sid))
-            else:
-                cached = self.tables[level].policy(self._resolve(level, sid))
-            self._policy_cache[key] = cached
-        return cached
+        return self.tables[level].policy(self._resolve(level, sid))
 
     def discrete_policies(self, sid: int) -> list[Policy]:
         """Observation set for one state: policies at levels 0..K."""
@@ -606,6 +607,8 @@ class PolicySet:
             )
         if not isinstance(doc.get("tables"), dict):
             raise SchemaError("q-table document needs a 'tables' object")
+        if not doc["tables"]:
+            raise SchemaError("q-table document holds no trained level")
         tables = {}
         for key, table in doc["tables"].items():
             with file_section(f"q-table level {key!r}"):
@@ -624,16 +627,10 @@ class PolicySet:
 
 def train_hierarchy(env_cfg: EnvConfig, rl_cfg: RLConfig, seed: int) -> PolicySet:
     """Train levels 1..max_level, each against the previous level."""
-    tables: dict[int, QTable] = {}
-    # a level's fallbacks do not depend on the levels above it, so each
-    # partial set shares them and the final set counts those of training
-    fallback: dict[tuple[int, int], int] = {}
-    disc = Discretizer(env_cfg)
-    opponent = PolicySampler(disc, lambda sid: level0_policy(disc.state_from_id(sid)))
+    # a level's fallbacks do not depend on the levels above it, so the one
+    # set keeps them from level to level and counts those of training
+    policy_set = PolicySet(env_cfg, {})
     for level in range(1, rl_cfg.max_level + 1):
         logger.info("training level %d against level %d traffic", level, level - 1)
-        tables[level] = train_level(level, opponent, env_cfg, rl_cfg, seed)
-        policy_set = PolicySet(env_cfg, dict(tables))
-        policy_set._fallback = fallback
-        opponent = policy_set.sampler(level)
+        policy_set.add(train_level(level, policy_set.sampler(level - 1), env_cfg, rl_cfg, seed))
     return policy_set

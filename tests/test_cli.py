@@ -203,6 +203,31 @@ BROKEN_CONFIGS = {
     "env.front_gap_edges": ("env", {"front_gap_edges": []}, "front_gap_edges"),
     "env.rear_gap_edges": ("env", {"rear_gap_edges": []}, "rear_gap_edges"),
     "gp.levels": ("gp", {"levels": [3, 2, 1, 0]}, "gp.levels"),
+    # each loaded before, or for rl.max_level stopped with a raw TypeError
+    "env.n_lanes": ("env", {"n_lanes": 2.5}, "env.n_lanes"),
+    "env.speed_bin_count (float)": ("env", {"speed_bin_count": 2.5}, "env.speed_bin_count"),
+    "rl.max_level": ("rl", {"max_level": 2.5}, "rl.max_level"),
+    "optimizer.restarts": ("optimizer", {"restarts": 1.5}, "optimizer.restarts"),
+    "optimizer.max_iter": ("optimizer", {"max_iter": 10.5}, "optimizer.max_iter"),
+    "sa.max_steps": ("sa", {"max_steps": 5.5}, "sa.max_steps"),
+    "fit.n_th": ("fit", {"n_th": 30.5}, "fit.n_th"),
+    "synthesis.n_states": ("synthesis", {"n_states": 2.5}, "synthesis.n_states"),
+    "synthesis.min_state_visits": (
+        "synthesis", {"min_state_visits": 0}, "synthesis.min_state_visits"
+    ),
+    "synthesis.min_state_visits (float)": (
+        "synthesis", {"min_state_visits": 2.5}, "synthesis.min_state_visits"
+    ),
+    "synthesis.drivers[].samples_per_state": (
+        "synthesis",
+        {"drivers": [{"driver_id": "d", "level": 1.0, "samples_per_state": 10.5}]},
+        "synthesis.drivers[].samples_per_state",
+    ),
+    # an empty decelerate band, bands too narrow for the file's 1e-4 m/s speeds over one
+    # frame, and a hard brake that the export would clip at 0 m/s in the slowest speed bin
+    "data.hard_brake_threshold": ("data", {"hard_brake_threshold": -0.4}, "no acceleration"),
+    "data.frame_dt": ("data", {"frame_dt": 1e-4}, "cannot resolve"),
+    "data.hard_brake_threshold (clipped)": ("data", {"hard_brake_threshold": -40.0}, "would stop"),
     "synthesis.drivers[].level": (
         "synthesis",
         {"drivers": [{"driver_id": "far", "level": 7.0, "samples_per_state": 10}]},
@@ -287,7 +312,7 @@ def test_cli_overrides_keep_other_fields_and_rerun_load_checks(tmp_path, monkeyp
     capsys.readouterr()
     # the overridden config passes through the same checks as a loaded one
     assert main(argv + ["--n-states", "0"]) == 1
-    assert "n_states must be positive" in capsys.readouterr().err
+    assert "synthesis.n_states must be an integer >= 1" in capsys.readouterr().err
     assert len(seen) == 1
 
 

@@ -2,8 +2,10 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, reject
+from hypothesis import strategies as st
 
-from levelkgp.config import DataConfig, DriverSpec, EnvConfig
+from levelkgp.config import DataConfig, DriverSpec, EnvConfig, MasterConfig
 from levelkgp.data import (
     REQUIRED_COLUMNS,
     export_trajectories,
@@ -13,7 +15,7 @@ from levelkgp.data import (
     sample_driver_actions,
     save_records,
 )
-from levelkgp.errors import InputError, SchemaError
+from levelkgp.errors import ConfigurationError, InputError, SchemaError
 from levelkgp.gp import Policy
 from levelkgp.levelk import (
     ACCELERATE,
@@ -227,6 +229,56 @@ def test_export_then_ingest_reproduces_counts(tmp_path, rng):
         assert ego.counts[sid].tolist() == np.bincount(actions, minlength=5).tolist()
 
 
+def _log_uniform(low_exp: float, high_exp: float):
+    return st.floats(low_exp, high_exp).map(lambda e: 10.0**e)
+
+
+@given(
+    accel_threshold=_log_uniform(-2.0, 0.7),
+    decelerate_band=_log_uniform(-2.0, 1.0),
+    frame_dt=_log_uniform(-2.0, 0.3),
+    speed_max=_log_uniform(0.5, 2.0),
+    speed_bin_count=st.integers(1, 8),
+    n_lanes=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_export_then_ingest_labels_every_action_as_itself(
+    tmp_path_factory, accel_threshold, decelerate_band, frame_dt, speed_max, speed_bin_count,
+    n_lanes, seed,
+):
+    """Action totals over the file, so the labels alone are checked; that each
+    scene ingests as its own state is checked at the default env above."""
+    data = {
+        "accel_threshold": accel_threshold,
+        "hard_brake_threshold": -accel_threshold - decelerate_band,
+        "frame_dt": frame_dt,
+    }
+    env = {"speed_max": speed_max, "speed_bin_count": speed_bin_count, "n_lanes": n_lanes}
+    try:
+        cfg = MasterConfig.from_dict({"env": env, "data": data})
+    except ConfigurationError:
+        reject()
+    disc = Discretizer(cfg.env)
+    rng = np.random.default_rng(seed)
+    states = set()
+    for _ in range(4):
+        lane = int(rng.integers(n_lanes))
+        states.add(disc.state_id(EnvState(
+            lane=lane,
+            front_gap_bin=int(rng.integers(disc.front_bins)),
+            front_rel_speed_bin=int(rng.integers(3)),
+            rear_left_bin=0 if lane == 0 else int(rng.integers(1, disc.rear_bins)),
+            rear_right_bin=0 if lane == n_lanes - 1 else int(rng.integers(1, disc.rear_bins)),
+            speed_bin=int(rng.integers(speed_bin_count)),
+        )))
+    actions_by_state = {sid: [int(a) for a in rng.permutation(10) % 5] for sid in states}
+    path = tmp_path_factory.mktemp("labels") / "synthetic.csv"
+    export_trajectories(actions_by_state, path, cfg.env, cfg.data)
+    records, summary = ingest_trajectories(path, cfg.env, cfg.data)
+    assert summary.rows_rejected == 0
+    assert sum(records["1"].counts.values()).tolist() == [2 * len(states)] * 5
+
+
 def test_export_rejects_inconsistent_scene(tmp_path):
     # middle lane always has a left neighbor lane, bin 0 claims it does not
     bad = EnvState(
@@ -260,6 +312,17 @@ def test_export_header_and_row_shape(tmp_path):
     assert all(len(r) == len(REQUIRED_COLUMNS) for r in rows[1:])
     # ego twice, front leader once, rear-right context once
     assert sorted(r[0] for r in rows[1:]) == ["1", "1", "2", "4"]
+
+
+def test_export_writes_the_default_accelerations(tmp_path):
+    # the desk outputs' trajectory files hold these accelerations of the defaults
+    sid = DISC.state_id(EnvState(1, 2, 1, 2, 2, 2))
+    path = tmp_path / "defaults.csv"
+    export_trajectories({sid: [MAINTAIN, ACCELERATE, DECELERATE, HARD_BRAKE]}, path, ENV)
+    with open(path, newline="") as fh:
+        speeds = [float(r[5]) for r in list(csv.reader(fh))[1:] if r[0] == "1"]
+    accels = [(b - a) / DataConfig().frame_dt for a, b in zip(speeds[::2], speeds[1::2])]
+    assert accels == pytest.approx([0.0, 1.0, -1.0, -3.0], abs=1e-9)
 
 
 # -- persistence ------------------------------------------------------------------

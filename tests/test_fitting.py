@@ -28,7 +28,7 @@ from levelkgp.fitting import (
     save_reports,
     score_policy,
 )
-from levelkgp.gp import Policy
+from levelkgp.gp import ModelCache, Policy
 
 # -- observed counts ------------------------------------------------------------
 
@@ -343,6 +343,21 @@ def fitter():
     return LevelFitter(_builder, optimizer=FAST_OPT, master_seed=11)
 
 
+def test_model_for_fits_a_missing_state_once():
+    calls = []
+
+    def builder(state_id):
+        calls.append(state_id)
+        return _builder(state_id)
+
+    cache = ModelCache()
+    fitter = LevelFitter(builder, optimizer=OptimizerConfig(restarts=1, max_iter=5), cache=cache)
+    first = fitter.model_for(9)
+    assert fitter.model_for(9) is first
+    assert calls == [9]
+    assert cache.get(9) is first and first.state_id == 9
+
+
 def _counts_at(fitter, state_id, level, n=400):
     """Near-exact observations drawn from the model's own policy."""
     probs = fitter.model_for(state_id).policy_at(level).probs
@@ -569,6 +584,31 @@ BROKEN_REPORT_FILES = {
     "reports as an object": (json.dumps({"d": _REPORT}), "reports must be a JSON list"),
     "truncated": (json.dumps([_REPORT])[:-20], "not valid JSON"),
 }
+
+
+def _report_with(**fields):
+    """_REPORT as a file, its one result's fields overridden."""
+    return json.dumps([{**_REPORT, "results": [{**_REPORT["results"][0], **fields}]}])
+
+
+# each loaded before, cast by bool(), int() or float(): a "false" success read as a success
+BROKEN_REPORT_FILES.update({
+    name: (text, f"malformed driver report: {named}")
+    for name, text, named in [
+        ("text success", _report_with(success="false"), "success must be a boolean, got 'false'"),
+        ("fractional n_obs", _report_with(n_obs=30.9), "n_obs must be an integer, got 30.9"),
+        ("boolean level", _report_with(level=True), "level must be a number, got True"),
+        ("text crit", _report_with(crit="0.5"), "crit must be a number, got '0.5'"),
+        ("fractional state_id", _report_with(state_id=2.0), "state_id must be an integer"),
+        ("text restart", _report_with(restarts=["ab"]), "restart level must be a number"),
+        ("boolean restart", _report_with(restarts=[[1.0, True]]), "restart crit must be a number"),
+        (
+            "fractional n_states_observed",
+            json.dumps([{**_REPORT, "n_states_observed": 1.5}]),
+            "n_states_observed must be an integer",
+        ),
+    ]
+})
 
 
 def test_report_document_loads():

@@ -178,6 +178,12 @@ def test_gaussian_log_marginal_matches_dense_formula(seed):
     assert got == pytest.approx(expected, abs=1e-8)
 
 
+def _objective_at(theta, grams, target, dim, jitter):
+    """The objective at one point: row 0 of a one-row stack."""
+    values, grads = _neg_lml_and_grad(theta[None, :], grams, target, dim, jitter)
+    return values[0], grads[0]
+
+
 def test_objective_gradient_matches_finite_differences(rng):
     policies = random_policies(rng)
     dim = policies.shape[1] - 1
@@ -186,13 +192,13 @@ def test_objective_gradient_matches_finite_differences(rng):
     entries = default_bank_entries()
     grams = unit_grams(LEVELS, LEVELS, _length_scales(entries))
     theta = _initial_theta(len(entries), dim, rng, perturb=True)
-    value, grad = _neg_lml_and_grad(theta, grams, target, dim, 1e-6)
+    value, grad = _objective_at(theta, grams, target, dim, 1e-6)
     eps = 1e-6
     for idx in rng.choice(theta.size, size=25, replace=False):
         bump = np.zeros(theta.size)
         bump[idx] = eps
-        hi, _ = _neg_lml_and_grad(theta + bump, grams, target, dim, 1e-6)
-        lo, _ = _neg_lml_and_grad(theta - bump, grams, target, dim, 1e-6)
+        hi, _ = _objective_at(theta + bump, grams, target, dim, 1e-6)
+        lo, _ = _objective_at(theta - bump, grams, target, dim, 1e-6)
         fd = (hi - lo) / (2 * eps)
         assert grad[idx] == pytest.approx(fd, abs=1e-5, rel=1e-4)
 
@@ -247,57 +253,46 @@ def test_objective_matches_per_entry_loop_bit_for_bit(
     theta = _initial_theta(n_entries, dim, rng, perturb=perturb)
     # scaled and shifted, as the points L-BFGS-B visits away from the start
     theta = np.clip(theta * rng.uniform(0.5, 5.0) + rng.normal(0.0, 0.5, theta.size), -5, 5)
-    value, grad = _neg_lml_and_grad(theta, grams, target, dim, 1e-6)
+    value, grad = _objective_at(theta, grams, target, dim, 1e-6)
     want_value, want_grad = _neg_lml_and_grad_loop(theta, grams, target, dim, 1e-6)
     assert value == want_value
     assert np.array_equal(grad, want_grad)
 
 
 def _stacked_objective_inputs(rng, n_actions, problems):
-    """Grams of the default bank, random in-bounds theta and one target per row."""
+    """Grams of the default bank, random in-bounds theta and one target."""
     dim = n_actions - 1
     entries = default_bank_entries()
     grams = unit_grams(LEVELS, LEVELS, _length_scales(entries))
     low, high = np.array(_bounds(len(entries), dim)).T
     thetas = rng.uniform(low, high, size=(problems, low.size))
-    targets = np.stack(
-        [
-            residual_target(random_policies(rng, n_actions=n_actions), zero_sum_basis(n_actions))
-            for _ in range(problems)
-        ]
-    )
-    return grams, thetas, targets, dim
+    target = residual_target(random_policies(rng, n_actions=n_actions), zero_sum_basis(n_actions))
+    return grams, thetas, target, dim
 
 
 @pytest.mark.parametrize("n_actions", [5, 2])
 @pytest.mark.parametrize("problems", [1, 2, 4, 24])
 def test_stacked_objective_rows_match_per_entry_loop(rng, n_actions, problems):
-    grams, thetas, targets, dim = _stacked_objective_inputs(rng, n_actions, problems)
-    values, grads = _neg_lml_and_grad(thetas, grams, targets, dim, 1e-6)
+    grams, thetas, target, dim = _stacked_objective_inputs(rng, n_actions, problems)
+    values, grads = _neg_lml_and_grad(thetas, grams, target, dim, 1e-6)
     assert values.shape == (problems,) and grads.shape == thetas.shape
-    for theta, target, value, grad in zip(thetas, targets, values, grads):
+    for theta, value, grad in zip(thetas, values, grads):
         want_value, want_grad = _neg_lml_and_grad_loop(theta, grams, target, dim, 1e-6)
-        assert value == want_value
-        assert np.array_equal(grad, want_grad)
-    # a shared (m,) target broadcasts over the stack
-    shared_values, shared_grads = _neg_lml_and_grad(thetas, grams, targets[0], dim, 1e-6)
-    for theta, value, grad in zip(thetas, shared_values, shared_grads):
-        want_value, want_grad = _neg_lml_and_grad_loop(theta, grams, targets[0], dim, 1e-6)
         assert value == want_value
         assert np.array_equal(grad, want_grad)
 
 
 def test_stacked_objective_isolates_a_non_positive_definite_row(rng):
-    grams, thetas, targets, dim = _stacked_objective_inputs(rng, 5, 4)
+    grams, thetas, target, dim = _stacked_objective_inputs(rng, 5, 4)
     # huge variances on rank-one B_z with kappa = 0: Sigma is singular to working precision
     slot = np.concatenate(([20.0], np.full(dim * dim, 5.0), np.full(dim, -800.0)))
     thetas[2] = np.tile(slot, len(grams))
-    assert _neg_lml_and_grad_loop(thetas[2], grams, targets[2], dim, 1e-6)[0] == 1e12
-    values, grads = _neg_lml_and_grad(thetas, grams, targets, dim, 1e-6)
+    assert _neg_lml_and_grad_loop(thetas[2], grams, target, dim, 1e-6)[0] == 1e12
+    values, grads = _neg_lml_and_grad(thetas, grams, target, dim, 1e-6)
     assert values[2] == 1e12
     assert np.array_equal(grads[2], np.zeros(thetas.shape[1]))
     for row in (0, 1, 3):
-        want_value, want_grad = _neg_lml_and_grad_loop(thetas[row], grams, targets[row], dim, 1e-6)
+        want_value, want_grad = _neg_lml_and_grad_loop(thetas[row], grams, target, dim, 1e-6)
         assert values[row] == want_value
         assert np.array_equal(grads[row], want_grad)
 
@@ -334,7 +329,7 @@ def _assert_lockstep_matches_minimize(args, starts, bounds, max_iter):
     assert len(results) == len(starts)
     for start, got in zip(starts, results):
         want = minimize(
-            _neg_lml_and_grad, start, args=args, jac=True, method="L-BFGS-B",
+            _objective_at, start, args=args, jac=True, method="L-BFGS-B",
             bounds=bounds, options={"maxiter": max_iter},
         )
         assert got.fun == want.fun
@@ -610,21 +605,6 @@ def test_cache_get_missing_raises():
     cache = ModelCache()
     with pytest.raises(MissingStateError):
         cache.get(7)
-
-
-def test_cache_get_or_fit_builds_once(rng):
-    cache = ModelCache()
-    calls = []
-
-    def build():
-        calls.append(1)
-        model, _ = _fit(rng, state_id=9)
-        return model
-
-    first = cache.get_or_fit(9, build)
-    second = cache.get_or_fit(9, build)
-    assert first is second
-    assert len(calls) == 1
 
 
 def test_cache_save_and_load_dir(rng, tmp_path):

@@ -220,12 +220,12 @@ def test_objective_covariance_matches_params_covariance(rng, monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(gp, "lmc_covariance", spy)
-    _neg_lml_and_grad(theta, grams, resid.T.ravel(), dim, 1e-6)
+    _neg_lml_and_grad(theta[None, :], grams, resid.T.ravel(), dim, 1e-6)
     monkeypatch.undo()
     assert len(seen) == 1
     params = LMCParams.from_theta(theta, entries, dim)
     expected = params.covariance(LEVELS, LEVELS) + 1e-6 * np.eye(dim * LEVELS.size)
-    assert np.abs(seen[0] - expected).max() <= 1e-12
+    assert np.abs(seen[0][0] - expected).max() <= 1e-12
 
 
 def test_bank_requires_matching_dims():

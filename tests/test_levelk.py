@@ -832,6 +832,8 @@ def test_policy_set_load_rejects_document_without_tables():
         PolicySet.from_dict(doc, ENV)
     with pytest.raises(SchemaError, match="tables"):
         PolicySet.from_dict({**doc, "tables": []}, ENV)
+    with pytest.raises(SchemaError, match="no trained level"):
+        PolicySet.from_dict({**doc, "tables": {}}, ENV)
 
 
 def test_policy_set_load_rejects_short_q_rows():
@@ -887,6 +889,31 @@ BROKEN_QTABLE_FILES = {
     "truncated": (lambda: json.dumps(_qtable_doc())[:-20], "not valid JSON"),
     "a list": (lambda: json.dumps([_qtable_doc()]), "must hold a JSON object"),
 }
+
+
+def _level1_with(value, *keys):
+    """A q-table file whose level-1 table holds ``value`` under ``keys``."""
+    def change(doc):
+        *path, last = keys
+        node = doc["tables"]["1"]
+        for key in path:
+            node = node[key]
+        node[last] = value
+    return lambda: json.dumps(_edited(change))
+
+
+# each loaded before, cast by int() or float()
+BROKEN_QTABLE_FILES.update({
+    name: (text, f"malformed q-table level '1': {named}")
+    for name, text, named in [
+        ("fractional level", _level1_with(1.5, "level"), "level must be an integer, got 1.5"),
+        ("boolean level", _level1_with(True, "level"), "level must be an integer, got True"),
+        ("text action_count", _level1_with("5", "action_count"), "action_count must be an integer"),
+        ("fractional visits", _level1_with(2.5, "visits", "42"), "visits of state 42 must be an"),
+        ("text q value", _level1_with(["1.5", 0, 0, 0, 0], "q", "42"), "state 42: q values must"),
+        ("boolean q value", _level1_with([True, 0, 0, 0, 0], "q", "42"), "state 42: q values must"),
+    ]
+})
 
 
 @pytest.mark.parametrize("key", sorted(BROKEN_QTABLE_FILES))
