@@ -259,10 +259,12 @@ def build_gp(cfg: MasterConfig, out_dir: Path, args) -> dict:
     if _flag(args, "no_train"):
         cache = ModelCache.load_dir(model_dir)
     else:
+        try:
+            state_ids = [int(s) for s in args.states.split(",")] if _flag(args, "states") else None
+        except ValueError as exc:
+            raise InputError(f"could not parse --states: {exc}") from exc
         policy_set = PolicySet.load(_path(args, "qtables", out_dir / "qtables.json"), cfg.env)
-        if _flag(args, "states"):
-            state_ids = [int(s) for s in args.states.split(",")]
-        else:
+        if state_ids is None:
             if _flag(args, "n_states") is not None:
                 synth = dataclasses.replace(cfg.synthesis, n_states=args.n_states)
                 cfg = dataclasses.replace(cfg, synthesis=synth)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,8 +21,9 @@ from .errors import ConfigurationError
 DEFAULT_MATERN_LENGTH_SCALES = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
 # Cap of the jitter escalation in the GP's Cholesky factorizations.
 MAX_JITTER = 1e-2
-# Decimals of the speeds in the trajectory files that the export writes.
+# Decimals of the speeds and of the positions in the trajectory files that the export writes.
 EXPORT_SPEED_DECIMALS = 4
+EXPORT_POSITION_DECIMALS = 3
 # Bins of the report's level histogram; their ends bound the level search.
 LEVEL_INTERVAL_EDGES = (
     0.0, 0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 1.7, 1.9, 2.1, 2.3, 2.5, 2.7, 3.0,
@@ -128,11 +130,35 @@ class EnvConfig:
         _require_int(self.episode_steps, "env.episode_steps", 1)
         if self.dt <= 0 or self.ring_length <= 0 or self.speed_max <= 0:
             raise ConfigurationError("dt, ring_length, speed_max must be positive")
+        _require_int(self.speed_bin_count, "env.speed_bin_count", 1)
+        # the export writes each gap bin's midpoint, or its edge times 0.5 or 1.5, to the
+        # file's positions; a step of two position units keeps it inside the bin
+        step = 2 * 10.0**-EXPORT_POSITION_DECIMALS
         for key in ("front_gap_edges", "rear_gap_edges"):
             edges = list(getattr(self, key))
-            if not edges or edges != sorted(edges):
-                raise ConfigurationError(f"{key} must be non-empty and increasing")
-        _require_int(self.speed_bin_count, "env.speed_bin_count", 1)
+            widths = [b - a for a, b in zip([0.0] + edges, edges)]
+            if not widths or not all(step <= width < math.inf for width in widths):
+                raise ConfigurationError(
+                    f"env.{key} must be non-empty, finite, positive and increasing, each "
+                    f"edge at least {step} m above the one before, got {edges}"
+                )
+        # the export's leaders close on the ego at three thresholds or none, in speeds
+        # rounded to the file's step; below a step the two read alike
+        speed_step = 10.0**-EXPORT_SPEED_DECIMALS
+        if not self.rel_speed_threshold >= speed_step:
+            raise ConfigurationError(
+                f"env.rel_speed_threshold must be at least the trajectory file's speed step "
+                f"{speed_step} m/s, got {self.rel_speed_threshold}"
+            )
+        # a slower leader stops at 0 m/s, so in the slowest speed bin it closes on the ego
+        # at the representative speed, which must clear the threshold
+        slowest = 0.5 * (self.speed_max / self.speed_bin_count)
+        if slowest - self.rel_speed_threshold < speed_step:
+            raise ConfigurationError(
+                f"env.rel_speed_threshold {self.rel_speed_threshold} must lie below the "
+                f"slowest speed bin's {slowest} m/s by the trajectory file's speed step, or "
+                "the export's slower front vehicle ingests as steady"
+            )
 
 
 @dataclass(frozen=True)
@@ -195,7 +221,6 @@ class FitConfig:
     n_th: int = 30
     theta_th: float = 0.05
     probability_floor: float = 0.01
-    two_sample: bool = False
 
     def __post_init__(self):
         _require_int(self.n_th, "fit.n_th", 1)

@@ -34,7 +34,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import EXPORT_SPEED_DECIMALS, DataConfig, DriverSpec, EnvConfig
+from .config import (
+    EXPORT_POSITION_DECIMALS, EXPORT_SPEED_DECIMALS, DataConfig, DriverSpec, EnvConfig,
+)
 from .errors import InputError, SchemaError, read_json
 from .fitting import DriverRecord, _driver_key
 from .gp import Policy
@@ -247,22 +249,27 @@ def _check_scene_state(state: EnvState, env_cfg: EnvConfig):
 
 
 def _export_accel(data_cfg: DataConfig) -> dict[int, float]:
-    """The acceleration the export writes for each action, inside the band
-    that ``_label_action`` gives that action: hard brake one threshold below
-    the hard-brake threshold, decelerate at twice the threshold down or
-    midway between the two bands, whichever is higher."""
+    """The acceleration the export writes for each action that keeps the
+    lane, inside the band that ``_label_action`` gives that action: hard
+    brake one threshold below the hard-brake threshold, decelerate at twice
+    the threshold down or midway between the two bands, whichever is higher."""
     thr, hard = data_cfg.accel_threshold, data_cfg.hard_brake_threshold
     return {
         MAINTAIN: 0.0,
         ACCELERATE: 2 * thr,
         DECELERATE: max(-2 * thr, (hard - thr) / 2),
         HARD_BRAKE: hard - thr,
-        CHANGE_LANE: 0.0,
     }
 
 
-def _lane_x(lane: int) -> float:
-    return lane * LANE_WIDTH + LANE_WIDTH / 2.0
+def _fields(lane: int, y: float, v: float) -> tuple:
+    """A vehicle's row of the trajectory file after its id and frame, formatted."""
+    return (
+        f"{lane * LANE_WIDTH + LANE_WIDTH / 2.0:.{EXPORT_POSITION_DECIMALS}f}",
+        f"{y:.{EXPORT_POSITION_DECIMALS}f}",
+        lane,
+        f"{v:.{EXPORT_SPEED_DECIMALS}f}",
+    )
 
 
 def export_trajectories(
@@ -277,7 +284,8 @@ def export_trajectories(
     Each action becomes one two-frame ego episode whose first frame also
     carries the context vehicles that realize the state's bins.  Returns
     the number of episodes written.  Ingesting the file reproduces the
-    ego's counts exactly; context vehicles contribute no transitions.
+    ego's counts exactly, state by state, under every master config that
+    loads; context vehicles contribute no transitions.
     """
     data_cfg = data_cfg or DataConfig()
     accel_of = _export_accel(data_cfg)
@@ -285,7 +293,6 @@ def export_trajectories(
     anchor_y = 500.0
     episodes = 0
     frame = 0
-    context_ids = (ego_id + 1, ego_id + 2, ego_id + 3)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REQUIRED_COLUMNS)
@@ -293,70 +300,30 @@ def export_trajectories(
             state = disc.state_from_id(sid)
             _check_scene_state(state, env_cfg)
             rep = disc.representative_features(state)
-            ego_v = rep["speed"]
+            lane, ego_v = state.lane, rep["speed"]
+            # the first frame: the ego, its leader and the rear vehicles of the adjacent lanes
             front_v = max(ego_v + rep["front_rel_speed"], 0.0)
+            scene = [
+                (ego_id, _fields(lane, anchor_y, ego_v)),
+                (ego_id + 1, _fields(lane, anchor_y + rep["front_gap"], front_v)),
+            ]
+            for vehicle, rear_lane, gap in (
+                (ego_id + 2, lane - 1, rep["rear_left_gap"]),
+                (ego_id + 3, lane + 1, rep["rear_right_gap"]),
+            ):
+                if gap is not None:
+                    scene.append((vehicle, _fields(rear_lane, anchor_y - gap, ego_v)))
+            # the ego's second frame, per action; a lane change keeps the speed
+            next_y = anchor_y + ego_v * data_cfg.frame_dt
+            next_lane = lane - 1 if lane - 1 >= 0 else lane + 1
+            second = {
+                action: _fields(lane, next_y, max(ego_v + accel * data_cfg.frame_dt, 0.0))
+                for action, accel in accel_of.items()
+            }
+            second[CHANGE_LANE] = _fields(next_lane, next_y, ego_v)
             for action in actions_by_state[sid]:
-                rows = [
-                    (
-                        ego_id,
-                        frame,
-                        _lane_x(state.lane),
-                        anchor_y,
-                        state.lane,
-                        ego_v,
-                    ),
-                    (
-                        context_ids[0],
-                        frame,
-                        _lane_x(state.lane),
-                        anchor_y + rep["front_gap"],
-                        state.lane,
-                        front_v,
-                    ),
-                ]
-                if rep["rear_left_gap"] is not None:
-                    rows.append(
-                        (
-                            context_ids[1],
-                            frame,
-                            _lane_x(state.lane - 1),
-                            anchor_y - rep["rear_left_gap"],
-                            state.lane - 1,
-                            ego_v,
-                        )
-                    )
-                if rep["rear_right_gap"] is not None:
-                    rows.append(
-                        (
-                            context_ids[2],
-                            frame,
-                            _lane_x(state.lane + 1),
-                            anchor_y - rep["rear_right_gap"],
-                            state.lane + 1,
-                            ego_v,
-                        )
-                    )
-                if action == CHANGE_LANE:
-                    next_lane = state.lane - 1 if state.lane - 1 >= 0 else state.lane + 1
-                    next_v = ego_v
-                else:
-                    next_lane = state.lane
-                    next_v = max(ego_v + accel_of[action] * data_cfg.frame_dt, 0.0)
-                rows.append(
-                    (
-                        ego_id,
-                        frame + 1,
-                        _lane_x(next_lane),
-                        anchor_y + ego_v * data_cfg.frame_dt,
-                        next_lane,
-                        next_v,
-                    )
-                )
-                for row in rows:
-                    speed = f"{row[5]:.{EXPORT_SPEED_DECIMALS}f}"
-                    writer.writerow(
-                        (row[0], row[1], f"{row[2]:.3f}", f"{row[3]:.3f}", row[4], speed)
-                    )
+                writer.writerows((vehicle, frame, *fields) for vehicle, fields in scene)
+                writer.writerow((ego_id, frame + 1, *second[action]))
                 episodes += 1
                 frame += 3
     return episodes

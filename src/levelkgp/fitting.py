@@ -9,7 +9,8 @@ level with simulated annealing restarted from each integer level.
 
 A driver's fit succeeds in a state when the best score clears the
 acceptance threshold.  The discrete comparison baseline scores only the
-integer levels, using the raw level-k policies.
+integer levels, using the raw level-k policies that the state's model
+was trained on.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .config import (
     SAConfig,
 )
 from .errors import InputError, SchemaError, file_section, json_value, read_json
-from .gp import ModelCache, Policy, StateGP, fit_state_gp, shift_normalize
+from .gp import ModelCache, Policy, StateGP, fit_state_gp
 
 logger = logging.getLogger(__name__)
 
@@ -135,27 +136,24 @@ def ks_statistic(p, q):
     return np.abs(a.cumsum(axis=-1) - b.cumsum(axis=-1)).max(axis=-1)
 
 
-def ks_acceptance(d, n: int, n2: Optional[int] = None):
+def ks_acceptance(d, n: int):
     """K-S acceptance probability for each statistic in d at sample size n.
 
     Uses the asymptotic Kolmogorov survival function with the standard
-    finite-sample correction.  With n2 the two-sample effective size
-    n*n2/(n+n2) replaces n.
+    finite-sample correction.
     """
     d = np.asarray(d)
     if not (d.min() >= 0 and d.max() <= 1):
         raise InputError(f"statistic must lie in [0, 1], got {d}")
-    if n < 1 or (n2 is not None and n2 < 1):
-        raise InputError("sample sizes must be positive")
-    en = math.sqrt(n * n2 / (n + n2)) if n2 is not None else math.sqrt(n)
+    if n < 1:
+        raise InputError("sample size must be positive")
+    en = math.sqrt(n)
     return kolmogorov(d * (en + 0.12 + 0.11 / en))
 
 
-def score_policy(model, data: Policy, n_obs: int, fit_cfg: FitConfig):
+def score_policy(model, data: Policy, n_obs: int):
     """Acceptance probability of the data under the model policy or each row of a stack."""
-    d = ks_statistic(model, data)
-    n2 = n_obs if fit_cfg.two_sample else None
-    return ks_acceptance(d, n_obs, n2)
+    return ks_acceptance(ks_statistic(model, data), n_obs)
 
 
 @dataclass(frozen=True)
@@ -320,11 +318,12 @@ def level_landscape(
     step: float = 0.01,
     sa_cfg: Optional[SAConfig] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scores on a dense grid over the annealing's level range: the exhaustive reference."""
+    """Scores on a dense grid over the annealing's level range: the exhaustive
+    reference, scoring the policies the annealing scores at the same levels.
+    fit_cfg is unused; the benchmark in perfbench/ passes it."""
     sa_cfg = sa_cfg or SAConfig()
     levels = np.arange(sa_cfg.level_low, sa_cfg.level_high + step / 2, step)
-    policies = shift_normalize(model.predict_mean(levels))
-    return levels, score_policy(policies, data, n_obs, fit_cfg)
+    return levels, score_policy(model.policies_at(levels), data, n_obs)
 
 
 def grid_fit(
@@ -344,7 +343,8 @@ class LevelFitter:
 
     ``observation_set_builder`` maps a state id to the discrete-level
     policies [pi_0, ..., pi_K] for that state.  GP models are built on
-    demand and cached, so a shared cache amortizes fits across drivers.
+    demand and cached, so a shared cache amortizes fits across drivers;
+    both methods read a state's policies from its model.
     """
 
     def __init__(
@@ -392,38 +392,32 @@ class LevelFitter:
         model = self.model_for(state_id)
 
         def score(levels: list[float]) -> np.ndarray:
-            return score_policy(model.policies_at(levels), data, n_obs, self.fit_cfg)
+            return score_policy(model.policies_at(levels), data, n_obs)
 
         starts = self.sa_cfg.restart_levels
         rngs = [restart_rng(self.master_seed, driver_id, state_id, r) for r in range(len(starts))]
-        restarts = sa_chains(score, starts, self.sa_cfg, rngs)
-        best_level, best_crit = max(restarts, key=lambda t: t[1])
-        return FitResult(
-            state_id=state_id,
-            n_obs=n_obs,
-            level=float(best_level),
-            crit=float(best_crit),
-            success=bool(best_crit > self.fit_cfg.theta_th),
-            method="sa",
-            restarts=tuple((float(l), float(c)) for l, c in restarts),
-        )
+        return self._result(state_id, n_obs, "sa", sa_chains(score, starts, self.sa_cfg, rngs))
 
     def fit_state_discrete(self, state_id: int, counts) -> FitResult:
-        """Score the raw integer-level policies only, stacked in one call."""
+        """Score the model's training rows, the raw integer-level policies, in one call."""
         n_obs = int(np.asarray(counts).sum())
         data = empirical_policy(counts, self.fit_cfg.probability_floor)
-        policies = self.builder(state_id)
-        crits = score_policy(np.stack([pi.probs for pi in policies]), data, n_obs, self.fit_cfg)
-        scored = [(float(k), float(c)) for k, c in zip(self.discrete_levels, crits)]
-        best_level, best_crit = max(scored, key=lambda t: t[1])
+        model = self.model_for(state_id)
+        crits = score_policy(model.policies, data, n_obs)
+        return self._result(state_id, n_obs, "discrete", zip(model.levels, crits))
+
+    def _result(self, state_id: int, n_obs: int, method: str, scored) -> FitResult:
+        """The fit of the best (level, crit) pair of scored, which it keeps as the restarts."""
+        restarts = tuple((float(level), float(crit)) for level, crit in scored)
+        level, crit = max(restarts, key=lambda t: t[1])
         return FitResult(
             state_id=state_id,
             n_obs=n_obs,
-            level=best_level,
-            crit=best_crit,
-            success=bool(best_crit > self.fit_cfg.theta_th),
-            method="discrete",
-            restarts=tuple(scored),
+            level=level,
+            crit=crit,
+            success=crit > self.fit_cfg.theta_th,
+            method=method,
+            restarts=restarts,
         )
 
     # -- whole-driver comparisons -------------------------------------------

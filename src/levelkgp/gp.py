@@ -171,16 +171,6 @@ def residual_target(policies: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return ((policies - 1.0 / policies.shape[1]) @ basis).T.ravel()
 
 
-def gaussian_log_marginal(chol: np.ndarray, target: np.ndarray) -> float:
-    """Zero-mean Gaussian log density of target given a lower Cholesky
-    factor of its covariance."""
-    f = np.asarray(target, dtype=float).ravel()
-    alpha = cho_solve((chol, True), f)
-    return float(
-        -0.5 * f @ alpha - np.log(np.diag(chol)).sum() - 0.5 * f.size * LOG_2PI
-    )
-
-
 # --- LMC covariance -----------------------------------------------------------
 
 
@@ -588,8 +578,8 @@ class StateGP:
         policies: np.ndarray,
         params: LMCParams,
         jitter_used: float,
-        state_id: Optional[int] = None,
-        lml: Optional[float] = None,
+        state_id: Optional[int],
+        lml: float,
     ):
         self.levels, self.policies = _validate_training_set(levels, policies)
         self.params = params
@@ -606,33 +596,26 @@ class StateGP:
             sigma, jitter_used, max(jitter_used, MAX_JITTER)
         )
         self._alpha = cho_solve((self.chol, True), self._target)
-        self.lml = (
-            lml if lml is not None else gaussian_log_marginal(self.chol, self._target)
-        )
+        self.lml = lml
 
     # -- queries --------------------------------------------------------
 
-    def _coords(self, levels) -> np.ndarray:
-        """Posterior mean coordinates in ``basis``, one row per query level."""
+    def predict_mean(self, levels) -> np.ndarray:
+        """Raw posterior means, one row per query level, shape (m, A); row i
+        equals ``predict_mean([levels[i]])[0]`` bit for bit."""
         q = np.atleast_1d(np.asarray(levels, dtype=float)).ravel()
         if not np.all(np.isfinite(q)):
             raise InputError("query levels must be finite")
         star = self.params.covariance(q, self.levels)
-        return (star @ self._alpha).reshape(self.action_count - 1, q.size).T
-
-    def predict_mean(self, levels) -> np.ndarray:
-        """Raw posterior means, one row per query level, shape (m, A)."""
-        return self.prior_mean[None, :] + self._coords(levels) @ self.basis.T
+        coords = (star @ self._alpha).reshape(self.action_count - 1, q.size).T
+        # row by row: numpy takes gemv for one row and gemm for several, which round differently
+        return np.stack([self.prior_mean + (c[None, :] @ self.basis.T)[0] for c in coords])
 
     def predict(self, level: float) -> PolicyPrediction:
         """Posterior mean and covariance of the action probabilities."""
         q = float(level)
-        if not math.isfinite(q):
-            raise InputError("query level must be finite")
+        mean = self.predict_mean([q])[0]
         star = self.params.covariance([q], self.levels)
-        dim = self.action_count - 1
-        coords = star @ self._alpha
-        mean = self.prior_mean + self.basis @ coords
         prior = self.params.covariance([q], [q])
         solved = cho_solve((self.chol, True), star.T)
         cov_coords = prior - star @ solved
@@ -641,11 +624,9 @@ class StateGP:
         return PolicyPrediction(level=q, mean=mean, cov=cov)
 
     def policies_at(self, levels) -> np.ndarray:
-        """Posterior policies, one row per query level, shape (m, A); row i
-        equals ``policy_at(levels[i]).probs`` bit for bit."""
-        # row by row: numpy takes gemv for one row and gemm for several, which round differently
-        rows = [self.prior_mean + (c[None, :] @ self.basis.T)[0] for c in self._coords(levels)]
-        return shift_normalize(np.stack(rows))
+        """Posterior policies, one row per query level, shape (m, A): the
+        posterior means, shifted and normalized row by row."""
+        return shift_normalize(self.predict_mean(levels))
 
     def policy_at(self, level: float) -> Policy:
         return Policy(self.policies_at([level])[0])

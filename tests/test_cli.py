@@ -233,6 +233,25 @@ BROKEN_CONFIGS = {
         {"drivers": [{"driver_id": "far", "level": 7.0, "samples_per_state": 10}]},
         "synthesis.drivers[0].level",
     ),
+    # each exported one state and ingested another: a slower leader clipped to 0 m/s that
+    # reads as steady, swapped slower and steady bins, and leaders or rear vehicles written
+    # into the wrong gap bin
+    "env.speed_bin_count (slowest bin)": (
+        "env", {"speed_bin_count": 13}, "env.rel_speed_threshold"
+    ),
+    "env.rel_speed_threshold (zero)": (
+        "env", {"rel_speed_threshold": 0}, "env.rel_speed_threshold"
+    ),
+    "env.rel_speed_threshold (negative)": (
+        "env", {"rel_speed_threshold": -1}, "env.rel_speed_threshold"
+    ),
+    "env.front_gap_edges (negative)": (
+        "env", {"front_gap_edges": [-5, 3, 9]}, "env.front_gap_edges"
+    ),
+    "env.front_gap_edges (repeated)": (
+        "env", {"front_gap_edges": [8, 8, 20]}, "env.front_gap_edges"
+    ),
+    "env.rear_gap_edges (negative)": ("env", {"rear_gap_edges": [-2, 15]}, "env.rear_gap_edges"),
 }
 
 
@@ -265,6 +284,7 @@ def test_pipeline_rejects_broken_config_before_training(key, tmp_path, capsys, c
         ({"optimizer": {"log_variance_bounds": [-1, 1]}}, "log_variance_bounds"),
         ({"optimizer": {"raw_kappa_bounds": [-1, 1]}}, "raw_kappa_bounds"),
         ({"bank": [{"kind": "bias", "rank": 2}]}, "rank"),
+        ({"fit": {"two_sample": True}}, "two_sample"),
     ],
 )
 def test_master_config_rejects_removed_knobs(doc, key):
@@ -395,6 +415,11 @@ def test_best_response_rejects_bad_coeffs(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["best-response", "--coeffs", "0.9,0.3"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_build_gp_rejects_unparseable_states(tmp_path, capsys):
+    assert main(["build-gp", "--states", "524,x", "--out-dir", str(tmp_path)]) == 1
+    _assert_one_error_line(capsys, "--states", "'x'")
 
 
 def test_ingest_command(tmp_path, capsys):

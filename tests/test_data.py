@@ -1,4 +1,5 @@
 import csv
+import itertools
 
 import numpy as np
 import pytest
@@ -233,27 +234,44 @@ def _log_uniform(low_exp: float, high_exp: float):
     return st.floats(low_exp, high_exp).map(lambda e: 10.0**e)
 
 
+def _gap_edges():
+    """One to three increasing edges, their steps from a millimetre to 100 m."""
+    return st.lists(_log_uniform(-3.0, 2.0), min_size=1, max_size=3).map(
+        lambda steps: [float(e) for e in itertools.accumulate(steps)]
+    )
+
+
 @given(
     accel_threshold=_log_uniform(-2.0, 0.7),
     decelerate_band=_log_uniform(-2.0, 1.0),
     frame_dt=_log_uniform(-2.0, 0.3),
     speed_max=_log_uniform(0.5, 2.0),
-    speed_bin_count=st.integers(1, 8),
+    speed_bin_count=st.integers(1, 16),
     n_lanes=st.integers(2, 4),
+    front_gap_edges=_gap_edges(),
+    rear_gap_edges=_gap_edges(),
+    rel_speed_threshold=_log_uniform(-5.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_export_then_ingest_labels_every_action_as_itself(
     tmp_path_factory, accel_threshold, decelerate_band, frame_dt, speed_max, speed_bin_count,
-    n_lanes, seed,
+    n_lanes, front_gap_edges, rear_gap_edges, rel_speed_threshold, seed,
 ):
-    """Action totals over the file, so the labels alone are checked; that each
-    scene ingests as its own state is checked at the default env above."""
+    """Under any config that loads, every action of every state ingests as
+    itself and in that state."""
     data = {
         "accel_threshold": accel_threshold,
         "hard_brake_threshold": -accel_threshold - decelerate_band,
         "frame_dt": frame_dt,
     }
-    env = {"speed_max": speed_max, "speed_bin_count": speed_bin_count, "n_lanes": n_lanes}
+    env = {
+        "speed_max": speed_max,
+        "speed_bin_count": speed_bin_count,
+        "n_lanes": n_lanes,
+        "front_gap_edges": front_gap_edges,
+        "rear_gap_edges": rear_gap_edges,
+        "rel_speed_threshold": rel_speed_threshold,
+    }
     try:
         cfg = MasterConfig.from_dict({"env": env, "data": data})
     except ConfigurationError:
@@ -261,7 +279,7 @@ def test_export_then_ingest_labels_every_action_as_itself(
     disc = Discretizer(cfg.env)
     rng = np.random.default_rng(seed)
     states = set()
-    for _ in range(4):
+    for _ in range(6):
         lane = int(rng.integers(n_lanes))
         states.add(disc.state_id(EnvState(
             lane=lane,
@@ -276,7 +294,10 @@ def test_export_then_ingest_labels_every_action_as_itself(
     export_trajectories(actions_by_state, path, cfg.env, cfg.data)
     records, summary = ingest_trajectories(path, cfg.env, cfg.data)
     assert summary.rows_rejected == 0
-    assert sum(records["1"].counts.values()).tolist() == [2 * len(states)] * 5
+    ego = records["1"]
+    assert ego.states() == sorted(states)
+    for sid in states:
+        assert ego.counts[sid].tolist() == [2] * 5
 
 
 def test_export_rejects_inconsistent_scene(tmp_path):

@@ -9,7 +9,8 @@ from scipy.special import kolmogorov
 from scipy.stats import kstwobign
 
 from conftest import random_policies, shift_normalize_row
-from levelkgp.config import FitConfig, OptimizerConfig, SAConfig
+from levelkgp import fitting
+from levelkgp.config import OptimizerConfig, SAConfig
 from levelkgp.errors import InputError, SchemaError
 from levelkgp.fitting import (
     DriverRecord,
@@ -141,11 +142,6 @@ def test_ks_acceptance_matches_limit_distribution():
         assert ks_acceptance(d, n) == pytest.approx(kstwobign.sf(arg), rel=1e-12)
 
 
-def test_ks_acceptance_two_sample_effective_size():
-    # n*n/(n+n) = n/2, so equal two-sample sizes match one sample of half
-    assert ks_acceptance(0.08, 200, 200) == ks_acceptance(0.08, 100)
-
-
 def test_ks_acceptance_monotone_in_statistic():
     values = [ks_acceptance(d, 80) for d in np.linspace(0.0, 1.0, 21)]
     assert all(a >= b for a, b in zip(values, values[1:]))
@@ -158,35 +154,30 @@ def test_ks_acceptance_validation():
         ks_acceptance(1.1, 10)
     with pytest.raises(InputError):
         ks_acceptance(0.1, 0)
-    with pytest.raises(InputError):
-        ks_acceptance(0.1, 10, 0)
 
 
-def _score_oracle(model, data, n_obs, fit_cfg):
+def _score_oracle(model, data, n_obs):
     """The scalar K-S score the row-wise one replaced: its bit-for-bit oracle."""
     d = float(np.max(np.abs(np.cumsum(model) - np.cumsum(data.probs))))
-    n2 = n_obs if fit_cfg.two_sample else None
-    en = math.sqrt(n_obs * n2 / (n_obs + n2)) if n2 is not None else math.sqrt(n_obs)
+    en = math.sqrt(n_obs)
     return float(kolmogorov(d * (en + 0.12 + 0.11 / en)))
 
 
-def _landscape_oracle(model, data, n_obs, fit_cfg, step=0.01, low=0.0, high=3.0):
-    """The per-level loop the array landscape replaced."""
+def _landscape_oracle(model, data, n_obs, step=0.01, low=0.0, high=3.0):
+    """One query and one score per level, as the annealing makes them."""
     levels = np.arange(low, high + step / 2, step)
-    means = model.predict_mean(levels)
     scores = np.empty(levels.size)
-    for i in range(levels.size):
-        scores[i] = _score_oracle(shift_normalize_row(means[i]), data, n_obs, fit_cfg)
+    for i, level in enumerate(levels):
+        scores[i] = _score_oracle(_policy_oracle(model, level), data, n_obs)
     return levels, scores
 
 
 def test_score_policy_scores_each_row_of_a_stack(rng):
     stack = rng.dirichlet(np.ones(5), size=30)
     data = Policy(rng.dirichlet(np.ones(5)))
-    for cfg in (FitConfig(), FitConfig(two_sample=True)):
-        scores = score_policy(stack, data, 75, cfg)
-        assert scores.shape == (30,)
-        assert np.array_equal(scores, [_score_oracle(row, data, 75, cfg) for row in stack])
+    scores = score_policy(stack, data, 75)
+    assert scores.shape == (30,)
+    assert np.array_equal(scores, [_score_oracle(row, data, 75) for row in stack])
     with pytest.raises(InputError):
         ks_acceptance(np.array([0.2, 1.5]), 10)
 
@@ -195,10 +186,7 @@ def test_score_policy_composes_statistic_and_acceptance(rng):
     model = Policy(rng.dirichlet(np.ones(5)))
     data = Policy(rng.dirichlet(np.ones(5)))
     d = ks_statistic(model, data)
-    assert score_policy(model, data, 120, FitConfig()) == ks_acceptance(d, 120)
-    assert score_policy(model, data, 120, FitConfig(two_sample=True)) == ks_acceptance(
-        d, 120, 120
-    )
+    assert score_policy(model, data, 120) == ks_acceptance(d, 120)
 
 
 # -- annealing search -------------------------------------------------------------
@@ -379,11 +367,26 @@ def test_level_landscape_matches_per_level_loop(fitter, state_id):
     for make in LANDSCAPE_COUNTS.values():
         counts = make(fitter, state_id)
         data = empirical_policy(counts)
-        for cfg in (fitter.fit_cfg, FitConfig(two_sample=True)):
-            got = level_landscape(model, data, int(counts.sum()), cfg)
-            want = _landscape_oracle(model, data, int(counts.sum()), cfg)
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
+        got = level_landscape(model, data, int(counts.sum()), fitter.fit_cfg)
+        want = _landscape_oracle(model, data, int(counts.sum()))
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+def test_level_landscape_scores_the_rows_the_annealing_scores(fitter, monkeypatch):
+    model = fitter.model_for(3)
+    data = empirical_policy(_counts_at(fitter, 3, 1.4))
+    scored = []
+
+    def spy(policies, *args):
+        scored.append(policies)
+        return score_policy(policies, *args)
+
+    monkeypatch.setattr(fitting, "score_policy", spy)
+    levels, _ = level_landscape(model, data, 400, fitter.fit_cfg)
+    assert len(scored) == 1
+    rows = [model.policies_at([level])[0] for level in levels]
+    assert np.array_equal(scored[0], np.stack(rows))
 
 
 def test_level_landscape_spans_the_annealing_range(fitter):
@@ -391,7 +394,7 @@ def test_level_landscape_spans_the_annealing_range(fitter):
     data = empirical_policy(_counts_at(fitter, 3, 1.4))
     sa_cfg = SAConfig(level_low=0.5, level_high=2.0, restart_levels=(1.0,))
     levels, scores = level_landscape(model, data, 400, fitter.fit_cfg, 0.05, sa_cfg)
-    want = _landscape_oracle(model, data, 400, fitter.fit_cfg, 0.05, 0.5, 2.0)
+    want = _landscape_oracle(model, data, 400, 0.05, 0.5, 2.0)
     assert levels[0] == 0.5 and levels[-1] == pytest.approx(2.0)
     assert np.array_equal(levels, want[0]) and np.array_equal(scores, want[1])
 
@@ -401,9 +404,9 @@ def test_score_policy_one_row_matches_scalar_oracle(fitter):
     data = empirical_policy(_counts_at(fitter, 2, 1.1, n=60))
     for level in np.random.default_rng(4).uniform(0.0, 3.0, size=50):
         row = shift_normalize_row(model.predict_mean([level])[0])
-        got = score_policy(model.policy_at(level), data, 60, fitter.fit_cfg)
+        got = score_policy(model.policy_at(level), data, 60)
         assert np.ndim(got) == 0
-        assert got == _score_oracle(row, data, 60, fitter.fit_cfg)
+        assert got == _score_oracle(row, data, 60)
 
 
 def _policy_oracle(model, level):
@@ -433,7 +436,7 @@ def _fit_state_oracle(fitter, driver_id, state_id, counts):
     model = fitter.model_for(state_id)
 
     def score(level):
-        return score_policy(Policy(_policy_oracle(model, level)), data, n_obs, fitter.fit_cfg)
+        return score_policy(Policy(_policy_oracle(model, level)), data, n_obs)
 
     restarts = [
         _sa_search_oracle(
@@ -454,12 +457,10 @@ def _fit_state_oracle(fitter, driver_id, state_id, counts):
 
 
 @pytest.mark.parametrize("paper_sign", [False, True])
-@pytest.mark.parametrize("two_sample", [False, True])
-def test_fit_state_matches_per_restart_oracle(fitter, paper_sign, two_sample):
+def test_fit_state_matches_per_restart_oracle(fitter, paper_sign):
     variant = LevelFitter(
         _builder,
         optimizer=FAST_OPT,
-        fit_cfg=FitConfig(two_sample=two_sample),
         sa_cfg=SAConfig(paper_acceptance_sign=paper_sign),
         master_seed=fitter.master_seed,
         cache=fitter.cache,
@@ -511,18 +512,41 @@ def test_fit_state_discrete_picks_matching_integer_level(fitter):
     assert len(result.restarts) == 4
 
 
+DISCRETE_COUNTS = ([30, 5, 5, 2, 1], [1, 1, 40, 3, 9], [8, 8, 8, 8, 8])
+
+
+def _discrete_oracle(state_id, counts):
+    """The (level, crit) of each policy the builder makes for the state."""
+    data = empirical_policy(counts)
+    return [
+        (k, _score_oracle(pi.probs, data, sum(counts)))
+        for k, pi in zip((0.0, 1.0, 2.0, 3.0), _builder(state_id))
+    ]
+
+
 @pytest.mark.parametrize("state_id", [2, 4, 7])
 def test_fit_state_discrete_matches_per_policy_oracle(fitter, state_id):
-    policies = _builder(state_id)
-    for counts in ([30, 5, 5, 2, 1], [1, 1, 40, 3, 9], [8, 8, 8, 8, 8]):
-        data = empirical_policy(counts)
-        want = [
-            (k, _score_oracle(pi.probs, data, sum(counts), fitter.fit_cfg))
-            for k, pi in zip(fitter.discrete_levels, policies)
-        ]
+    for counts in DISCRETE_COUNTS:
+        want = _discrete_oracle(state_id, counts)
         result = fitter.fit_state_discrete(state_id, counts)
         assert result.restarts == tuple(want)
         assert (result.level, result.crit) == max(want, key=lambda t: t[1])
+
+
+def test_fit_state_discrete_reads_the_rows_of_loaded_models(fitter, tmp_path):
+    cache = ModelCache()
+    for state_id in (2, 4, 7):
+        cache.put(fitter.model_for(state_id))
+    cache.save_dir(tmp_path)
+
+    def no_builder(state_id):
+        raise AssertionError(f"state {state_id}: policies rebuilt, not read from the model")
+
+    loaded = LevelFitter(no_builder, cache=ModelCache.load_dir(tmp_path))
+    for state_id in (2, 4, 7):
+        for counts in DISCRETE_COUNTS:
+            want = _discrete_oracle(state_id, counts)
+            assert loaded.fit_state_discrete(state_id, counts).restarts == tuple(want)
 
 
 def test_compare_driver_filters_by_visit_threshold(fitter):

@@ -32,7 +32,6 @@ from levelkgp.gp import (
     _sigmoid,
     _softplus,
     fit_state_gp,
-    gaussian_log_marginal,
     jittered_cholesky,
     residual_target,
     shift_normalize,
@@ -156,6 +155,14 @@ def test_zero_sum_basis_is_orthonormal_and_zero_sum(dim):
 
 
 # -- marginal likelihood --------------------------------------------------------
+
+
+def gaussian_log_marginal(chol: np.ndarray, target: np.ndarray) -> float:
+    """Oracle: zero-mean Gaussian log density of target given a lower
+    Cholesky factor of its covariance."""
+    f = np.asarray(target, dtype=float).ravel()
+    alpha = cho_solve((chol, True), f)
+    return float(-0.5 * f @ alpha - np.log(np.diag(chol)).sum() - 0.5 * f.size * LOG_2PI)
 
 
 def test_gaussian_log_marginal_standard_normal_at_origin():
@@ -417,6 +424,16 @@ def test_predict_matches_dense_solve_oracle(rng):
         pred = model.predict(level)
         assert np.allclose(pred.mean, expected_mean, atol=1e-8)
         assert np.allclose(pred.cov, 0.5 * (expected_cov + expected_cov.T), atol=1e-8)
+
+
+def test_predict_mean_is_the_one_row_posterior_mean(rng):
+    model, _ = _fit(rng, state_id=2)
+    grid = np.arange(0.0, 3.0001, 0.01)
+    means = model.predict_mean(grid)
+    for level, row in zip(grid, means):
+        one = model.predict_mean([level])[0]
+        assert np.array_equal(row, one)
+        assert np.array_equal(model.predict(level).mean, one)
 
 
 def test_predictive_covariance_is_symmetric_and_nearly_psd(rng):
