@@ -23,8 +23,6 @@ from levelkgp.config import EnvConfig, RLConfig
 from levelkgp.gp import fit_state_gp
 from levelkgp.levelk import train_hierarchy
 
-LEVELS = (0.0, 1.0, 2.0, 3.0)
-
 
 def affine_residual(basis: np.ndarray, target: np.ndarray) -> float:
     """Distance from target to the affine hull of the basis rows."""
@@ -74,7 +72,7 @@ def main() -> int:
         basis = np.vstack(
             [p.probs for p in policy_set.discrete_policies(sid)]
         )
-        model = fit_state_gp(LEVELS, basis, state_id=sid)
+        model = fit_state_gp(policy_set.levels, basis, state_id=sid)
         affine = []
         convex = []
         for level in grid:

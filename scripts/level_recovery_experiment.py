@@ -21,8 +21,6 @@ from levelkgp.fitting import LevelFitter
 from levelkgp.gp import ModelCache, fit_state_gp
 from levelkgp.levelk import train_hierarchy
 
-LEVELS = (0.0, 1.0, 2.0, 3.0)
-
 
 def parse_args():
     parser = argparse.ArgumentParser(description=__doc__)
@@ -59,7 +57,7 @@ def main() -> int:
     )
     cache = ModelCache()
     for sid in state_ids:
-        cache.put(fit_state_gp(LEVELS, policy_set.discrete_policies(sid), state_id=sid))
+        cache.put(fit_state_gp(policy_set.levels, policy_set.discrete_policies(sid), state_id=sid))
     fitter = LevelFitter(policy_set.discrete_policies, master_seed=args.seed, cache=cache)
     print(f"setup: {len(state_ids)} states modeled in {time.perf_counter() - t0:.1f}s")
 

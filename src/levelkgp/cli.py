@@ -265,9 +265,6 @@ def build_gp(cfg: MasterConfig, out_dir: Path, args) -> dict:
             raise InputError(f"could not parse --states: {exc}") from exc
         policy_set = PolicySet.load(_path(args, "qtables", out_dir / "qtables.json"), cfg.env)
         if state_ids is None:
-            if _flag(args, "n_states") is not None:
-                synth = dataclasses.replace(cfg.synthesis, n_states=args.n_states)
-                cfg = dataclasses.replace(cfg, synthesis=synth)
             state_ids = _select_states(policy_set, cfg)
         cache = _fit_models(cfg, policy_set, state_ids)
         cache.save_dir(model_dir)
@@ -503,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qtables", default=None)
     p.add_argument("--model-dir", default=None)
     p.add_argument("--states", default=None, help="comma-separated state ids")
-    p.add_argument("--n-states", type=int, default=None)
     p.set_defaults(fn=cmd_stage, stage=build_gp)
 
     p = sub.add_parser("synthesize", parents=[common],

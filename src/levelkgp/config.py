@@ -14,7 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, ClassVar, Optional
 
 from .errors import ConfigurationError
 
@@ -185,6 +185,8 @@ class RLConfig:
 class SAConfig:
     """Simulated annealing schedule for the level search.
 
+    The search range is the report's level range, and the chains restart
+    from its integer levels; both are fixed, not config keys.
     ``paper_acceptance_sign`` keeps the published acceptance rule, which
     accepts improvements only with probability exp(-delta/T).  The
     default corrected rule always accepts improvements.
@@ -194,10 +196,10 @@ class SAConfig:
     cooling: float = 0.90
     max_steps: int = 50
     neighbor_scale: float = 0.25
-    restart_levels: tuple[float, ...] = (0.0, 1.0, 2.0, 3.0)
-    level_low: float = 0.0
-    level_high: float = 3.0
     paper_acceptance_sign: bool = False
+    level_low: ClassVar[float] = LEVEL_INTERVAL_EDGES[0]
+    level_high: ClassVar[float] = LEVEL_INTERVAL_EDGES[-1]
+    restart_levels: ClassVar[tuple[float, ...]] = (0.0, 1.0, 2.0, 3.0)
 
     def __post_init__(self):
         if self.initial_temperature <= 0:
@@ -205,13 +207,6 @@ class SAConfig:
         if not 0 < self.cooling < 1:
             raise ConfigurationError("cooling must lie in (0, 1)")
         _require_int(self.max_steps, "sa.max_steps", 1)
-        if self.level_high <= self.level_low:
-            raise ConfigurationError("level_high must exceed level_low")
-        if not self.restart_levels:
-            raise ConfigurationError("restart_levels must be non-empty")
-        for lv in self.restart_levels:
-            if not self.level_low <= lv <= self.level_high:
-                raise ConfigurationError("restart level outside the level range")
 
 
 @dataclass(frozen=True)
@@ -319,12 +314,6 @@ class MasterConfig:
                 f"gp.levels must be {list(expected)}, the levels 0..rl.max_level, "
                 f"got {list(self.gp.levels)}"
             )
-        low, high = LEVEL_INTERVAL_EDGES[0], LEVEL_INTERVAL_EDGES[-1]
-        if not (low <= self.sa.level_low and self.sa.level_high <= high):
-            raise ConfigurationError(
-                f"sa.level_low and sa.level_high must lie in [{low}, {high}], "
-                "the level range the report bins"
-            )
         # the export's hard brake must not stop the slowest bin's representative speed
         slowest = 0.5 * (self.env.speed_max / self.env.speed_bin_count)
         hard_brake = self.data.hard_brake_threshold - self.data.accel_threshold
@@ -335,11 +324,10 @@ class MasterConfig:
                 "export could not write a hard brake there"
             )
         for i, spec in enumerate(self.synthesis.drivers):
-            if not self.sa.level_low <= spec.level <= self.sa.level_high:
+            if not SAConfig.level_low <= spec.level <= SAConfig.level_high:
                 raise ConfigurationError(
-                    f"synthesis.drivers[{i}].level {spec.level} outside "
-                    f"[sa.level_low, sa.level_high] = [{self.sa.level_low}, "
-                    f"{self.sa.level_high}], where the level search cannot reach it"
+                    f"synthesis.drivers[{i}].level {spec.level} outside [{SAConfig.level_low}, "
+                    f"{SAConfig.level_high}], the level range the search can reach"
                 )
 
     @classmethod

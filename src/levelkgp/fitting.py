@@ -316,13 +316,11 @@ def level_landscape(
     n_obs: int,
     fit_cfg: FitConfig,
     step: float = 0.01,
-    sa_cfg: Optional[SAConfig] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scores on a dense grid over the annealing's level range: the exhaustive
     reference, scoring the policies the annealing scores at the same levels.
     fit_cfg is unused; the benchmark in perfbench/ passes it."""
-    sa_cfg = sa_cfg or SAConfig()
-    levels = np.arange(sa_cfg.level_low, sa_cfg.level_high + step / 2, step)
+    levels = np.arange(SAConfig.level_low, SAConfig.level_high + step / 2, step)
     return levels, score_policy(model.policies_at(levels), data, n_obs)
 
 

@@ -15,6 +15,7 @@ simplex grid of responder mixtures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -24,6 +25,8 @@ from .errors import InputError
 
 # levels whose coefficients differ by at most this much tie
 TIE_TOL = 1e-12
+# most responder mixtures the brute-force grid may enumerate
+MAX_GRID_POINTS = 10**6
 
 
 class MixedStrategy:
@@ -51,10 +54,6 @@ class MixedStrategy:
     @property
     def n_levels(self) -> int:
         return self.coeffs.size
-
-    @property
-    def max_level(self) -> int:
-        return self.coeffs.size - 1
 
     def support(self) -> tuple[int, ...]:
         return tuple(int(i) for i in np.nonzero(self.coeffs > TIE_TOL)[0])
@@ -134,12 +133,18 @@ def brute_force_best_response(
     one matrix product; only the rows within TIE_TOL of the maximum
     become strategies.
     """
-    if not 0 < grid_step <= 1:
-        raise InputError("grid_step must lie in (0, 1]")
+    if not 0 < grid_step <= 1 or math.isinf(1.0 / grid_step):
+        raise InputError("grid_step must lie in (0, 1] with a finite reciprocal")
     units = round(1.0 / grid_step)
     if abs(units * grid_step - 1.0) > 1e-9:
         raise InputError("grid_step must divide 1")
     n = opponent.n_levels
+    size = math.comb(units + n - 2, n - 2)
+    if size > MAX_GRID_POINTS:
+        raise InputError(
+            f"grid_step {grid_step} gives {size} grid points over {n - 1} levels, "
+            f"more than {MAX_GRID_POINTS}"
+        )
     grid = np.array([(0,) + combo for combo in simplex_grid(units, n - 1)]) / units
     # mixed_utility of each row: responder level j+1 against opponent level j
     values = grid[:, 1:] @ opponent.coeffs[:-1]

@@ -198,7 +198,12 @@ BROKEN_CONFIGS = {
     "rl.episodes": ("rl", {"episodes": 0}, "rl.episodes"),
     "env.episode_steps": ("env", {"episode_steps": 0}, "env.episode_steps"),
     "env.n_vehicles": ("env", {"n_vehicles": 2.5}, "env.n_vehicles"),
-    "sa.restart_levels": ("sa", {"restart_levels": []}, "restart_levels"),
+    # the level range and the restarts are fixed: the report's range and its integer levels
+    "sa.restart_levels": (
+        "sa", {"restart_levels": [1.0]}, "unknown keys in sa: ['restart_levels']"
+    ),
+    "sa.level_low": ("sa", {"level_low": 0.5}, "unknown keys in sa: ['level_low']"),
+    "sa.level_high": ("sa", {"level_high": 2.0}, "unknown keys in sa: ['level_high']"),
     "env.speed_bin_count": ("env", {"speed_bin_count": 0}, "speed_bin_count"),
     "env.front_gap_edges": ("env", {"front_gap_edges": []}, "front_gap_edges"),
     "env.rear_gap_edges": ("env", {"rear_gap_edges": []}, "rear_gap_edges"),
@@ -322,17 +327,13 @@ def test_cli_overrides_keep_other_fields_and_rerun_load_checks(tmp_path, monkeyp
     monkeypatch.setattr(cli, "_fit_models", fake_fit)
     out = tmp_path / "out"
     argv = ["build-gp", "--config", str(DESK_CONFIG), "--qtables", str(qtables),
-            "--seed", "11", "--out-dir", str(out)]
-    assert main(argv + ["--n-states", "1"]) == 0
-    want = dataclasses.replace(
-        base, seed=11, out_dir=str(out),
-        synthesis=dataclasses.replace(base.synthesis, n_states=1),
-    )
-    assert seen == [(want, [0])]
+            "--out-dir", str(out)]
+    assert main(argv + ["--seed", "11"]) == 0
+    assert seen == [(dataclasses.replace(base, seed=11, out_dir=str(out)), [0])]
     capsys.readouterr()
     # the overridden config passes through the same checks as a loaded one
-    assert main(argv + ["--n-states", "0"]) == 1
-    assert "synthesis.n_states must be an integer >= 1" in capsys.readouterr().err
+    assert main(argv + ["--seed", "-1"]) == 1
+    _assert_one_error_line(capsys, "seed must be an integer >= 0")
     assert len(seen) == 1
 
 
@@ -348,22 +349,6 @@ def test_master_config_rejects_levels_not_matching_max_level(tmp_path):
     path.write_text(json.dumps({"rl": {"max_level": 4}}))
     with pytest.raises(ConfigurationError, match="rl.max_level"):
         MasterConfig.from_json(path)
-
-
-@pytest.mark.parametrize("sa", [{"level_high": 4.0}, {"level_low": -0.5}])
-def test_master_config_rejects_sa_levels_outside_report_range(tmp_path, sa):
-    path = tmp_path / "sa.json"
-    path.write_text(json.dumps({"sa": sa}))
-    with pytest.raises(ConfigurationError, match="sa.level_low and sa.level_high"):
-        MasterConfig.from_json(path)
-
-
-def test_master_config_accepts_sa_levels_inside_report_range():
-    cfg = MasterConfig.from_dict(
-        {"sa": {"level_low": 0.5, "level_high": 2.5, "restart_levels": [1.0]}}
-    )
-    assert (cfg.sa.level_low, cfg.sa.level_high) == (0.5, 2.5)
-    assert (LEVEL_INTERVAL_EDGES[0], LEVEL_INTERVAL_EDGES[-1]) == (0.0, 3.0)
 
 
 def test_master_config_rejects_jobs_key(tmp_path):
@@ -415,6 +400,12 @@ def test_best_response_rejects_bad_coeffs(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["best-response", "--coeffs", "0.9,0.3"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_best_response_rejects_a_grid_too_large_to_enumerate(capsys):
+    argv = ["best-response", "--coeffs", "0.2,0.8", "--check", "--grid-step", "1e-9"]
+    assert main(argv) == 1
+    _assert_one_error_line(capsys, "grid_step 1e-09", "1000000001 grid points")
 
 
 def test_build_gp_rejects_unparseable_states(tmp_path, capsys):

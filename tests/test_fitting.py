@@ -163,9 +163,9 @@ def _score_oracle(model, data, n_obs):
     return float(kolmogorov(d * (en + 0.12 + 0.11 / en)))
 
 
-def _landscape_oracle(model, data, n_obs, step=0.01, low=0.0, high=3.0):
+def _landscape_oracle(model, data, n_obs):
     """One query and one score per level, as the annealing makes them."""
-    levels = np.arange(low, high + step / 2, step)
+    levels = np.arange(0.0, 3.0 + 0.01 / 2, 0.01)
     scores = np.empty(levels.size)
     for i, level in enumerate(levels):
         scores[i] = _score_oracle(_policy_oracle(model, level), data, n_obs)
@@ -392,11 +392,21 @@ def test_level_landscape_scores_the_rows_the_annealing_scores(fitter, monkeypatc
 def test_level_landscape_spans_the_annealing_range(fitter):
     model = fitter.model_for(3)
     data = empirical_policy(_counts_at(fitter, 3, 1.4))
-    sa_cfg = SAConfig(level_low=0.5, level_high=2.0, restart_levels=(1.0,))
-    levels, scores = level_landscape(model, data, 400, fitter.fit_cfg, 0.05, sa_cfg)
-    want = _landscape_oracle(model, data, 400, 0.05, 0.5, 2.0)
-    assert levels[0] == 0.5 and levels[-1] == pytest.approx(2.0)
-    assert np.array_equal(levels, want[0]) and np.array_equal(scores, want[1])
+    levels, _ = level_landscape(model, data, 400, fitter.fit_cfg, 0.05)
+    assert levels[0] == SAConfig.level_low
+    assert levels[-1] == pytest.approx(SAConfig.level_high)
+    # wide steps from starts outside the range reach both of its clamps, never beyond
+    cfg = SAConfig(neighbor_scale=2.0)
+    starts = (-1.0, *cfg.restart_levels, 9.0)
+    seen = []
+
+    def score(batch):
+        seen.extend(batch)
+        return [0.5] * len(batch)
+
+    sa_chains(score, starts, cfg, [np.random.default_rng([3, r]) for r in range(len(starts))])
+    assert min(seen) == levels[0] and max(seen) == SAConfig.level_high
+    assert all(levels[0] <= level <= SAConfig.level_high for level in seen)
 
 
 def test_score_policy_one_row_matches_scalar_oracle(fitter):

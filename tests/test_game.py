@@ -258,6 +258,14 @@ def test_brute_force_rejects_bad_grid_step():
         brute_force_best_response(opponent, grid_step=0.0)
     with pytest.raises(InputError):
         brute_force_best_response(opponent, grid_step=0.3)
+    # a subnormal step has no integer number of units
+    with pytest.raises(InputError, match="grid_step"):
+        brute_force_best_response(opponent, grid_step=1e-320)
+    # a step that divides 1 but gives more points than the grid may enumerate
+    with pytest.raises(InputError, match=r"grid_step 1e-09 gives 1000000001 grid points"):
+        brute_force_best_response(MixedStrategy([0.2, 0.8, 0.0]), grid_step=1e-9)
+    with pytest.raises(InputError, match="grid_step 0.05 gives"):
+        brute_force_best_response(MixedStrategy([1.0 / 30] * 30 + [0.0]), grid_step=0.05)
 
 
 # -- policy mixing ----------------------------------------------------------------------
