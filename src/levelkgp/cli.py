@@ -312,6 +312,7 @@ def _ingest_manifest(
         ]
     records: dict[str, fitting.DriverRecord] = {}
     combined = data_mod.IngestSummary()
+    states: set[int] = set()
     for driver_id, path, key in drivers:
         got, summary = data_mod.ingest_trajectories(path, cfg.env, cfg.data)
         if key not in got:
@@ -324,11 +325,13 @@ def _ingest_manifest(
         combined.rows_rejected += summary.rows_rejected
         combined.n_vehicles += summary.n_vehicles
         combined.n_transitions += summary.n_transitions
-        combined.n_states = max(combined.n_states, summary.n_states)
+        for record in got.values():
+            states.update(record.counts)
         for reason, count in summary.reject_reasons.items():
             combined.reject_reasons[reason] = (
                 combined.reject_reasons.get(reason, 0) + count
             )
+    combined.n_states = len(states)
     return records, combined
 
 

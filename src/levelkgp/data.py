@@ -8,7 +8,10 @@ indices.  An action is labeled for every pair of rows of one vehicle on
 adjacent frames: a lane id change labels change_lane, otherwise the
 acceleration (delta velocity over frame_dt) is thresholded.  The state
 for the pair is discretized from the other vehicles present on the
-first frame.
+first frame: the nearest leader strictly ahead in the ego's lane (of
+leaders at the same gap, the first in the file) and the nearest vehicle
+strictly behind in each adjacent lane.  Each frame's rows are sorted by
+lane and position once, when a transition first needs them.
 
 Malformed rows (missing values, non-numeric fields, out-of-range lane,
 negative speed, non-increasing frame for a vehicle) are rejected and
@@ -24,13 +27,15 @@ on adjacent frames.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import logging
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -84,32 +89,12 @@ class IngestSummary:
         }
 
 
-@dataclass(frozen=True)
-class _Row:
+class _Row(NamedTuple):
     vehicle: int
     frame: int
     lane: int
     y: float
     v: float
-
-
-def _parse_row(raw: dict, n_lanes: int) -> tuple[Optional[_Row], Optional[str]]:
-    try:
-        vehicle = int(raw["vehicle_id"])
-        frame = int(raw["frame"])
-        float(raw["local_x"])
-        y = float(raw["local_y"])
-        lane = int(raw["lane_id"])
-        v = float(raw["velocity"])
-    except (TypeError, ValueError, KeyError):
-        return None, "unparseable"
-    if not (math.isfinite(y) and math.isfinite(v)):
-        return None, "non_finite"
-    if v < 0:
-        return None, "negative_speed"
-    if not 0 <= lane < n_lanes:
-        return None, "lane_out_of_range"
-    return _Row(vehicle, frame, lane, y, v), None
 
 
 def _label_action(first: _Row, second: _Row, data_cfg: DataConfig) -> int:
@@ -125,28 +110,48 @@ def _label_action(first: _Row, second: _Row, data_cfg: DataConfig) -> int:
     return MAINTAIN
 
 
-def _features(ego: _Row, frame_rows: Sequence[_Row], env_cfg: EnvConfig):
-    """Gaps and closing speed from the vehicles sharing the ego's frame."""
-    far = 10.0 * max(env_cfg.front_gap_edges[-1], env_cfg.rear_gap_edges[-1])
-    front_gap = far
-    front_v = None
-    rear = {ego.lane - 1: far, ego.lane + 1: far}
-    for other in frame_rows:
-        if other.vehicle == ego.vehicle:
+# per lane of one frame: the y values of its rows in increasing order, the rows in that
+# order, and the place of each in the file among the lane's rows
+_LaneIndex = dict[int, tuple[list[float], list[_Row], list[int]]]
+
+
+def _lane_index(frame_rows: Sequence[_Row]) -> _LaneIndex:
+    by_lane: dict[int, list[_Row]] = {}
+    for row in frame_rows:
+        by_lane.setdefault(row.lane, []).append(row)
+    index = {}
+    for lane, rows in by_lane.items():
+        ys = [row.y for row in rows]
+        order = sorted(range(len(rows)), key=ys.__getitem__)
+        index[lane] = ([ys[i] for i in order], [rows[i] for i in order], order)
+    return index
+
+
+def _features(ego: _Row, lanes: _LaneIndex, n_lanes: int, far: float):
+    """Gaps and closing speed from the vehicles sharing the ego's frame: the
+    nearest leader strictly ahead in the ego's lane and the nearest vehicle
+    strictly behind in each adjacent lane.  A gap of ``far`` or more is no
+    vehicle."""
+    ys, rows, order = lanes[ego.lane]
+    front_gap, rel = far, 0.0
+    ahead = bisect.bisect_right(ys, ego.y)
+    if ahead < len(ys) and ys[ahead] - ego.y < far:
+        front_gap = ys[ahead] - ego.y
+        # leaders further ahead can round to the same gap; the first in the file leads
+        end = ahead + 1
+        while end < len(ys) and ys[end] - ego.y == front_gap:
+            end += 1
+        rel = rows[min(range(ahead, end), key=order.__getitem__)].v - ego.v
+    rear = []
+    for lane in (ego.lane - 1, ego.lane + 1):
+        if not 0 <= lane < n_lanes:
+            rear.append(None)
             continue
-        if other.lane == ego.lane and other.y > ego.y:
-            gap = other.y - ego.y
-            if gap < front_gap:
-                front_gap = gap
-                front_v = other.v
-        elif other.lane in rear and other.y < ego.y:
-            gap = ego.y - other.y
-            if gap < rear[other.lane]:
-                rear[other.lane] = gap
-    rel = 0.0 if front_v is None else front_v - ego.v
-    rear_left = rear[ego.lane - 1] if ego.lane - 1 >= 0 else None
-    rear_right = rear[ego.lane + 1] if ego.lane + 1 < env_cfg.n_lanes else None
-    return front_gap, rel, rear_left, rear_right
+        ys = lanes[lane][0] if lane in lanes else ()
+        behind = bisect.bisect_left(ys, ego.y)
+        gap = ego.y - ys[behind - 1] if behind else far
+        rear.append(gap if gap < far else far)
+    return front_gap, rel, rear[0], rear[1]
 
 
 def ingest_trajectories(
@@ -157,50 +162,77 @@ def ingest_trajectories(
     """Read a trajectory CSV into per-driver action count records."""
     data_cfg = data_cfg or DataConfig()
     disc = Discretizer(env_cfg)
+    n_lanes = env_cfg.n_lanes
+    far = 10.0 * max(env_cfg.front_gap_edges[-1], env_cfg.rear_gap_edges[-1])
     summary = IngestSummary()
     per_vehicle: dict[int, list[_Row]] = {}
     frames: dict[int, list[_Row]] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in REQUIRED_COLUMNS if c not in header]
+        reader = csv.reader(fh)
+        # a repeated column name reads its last column, as csv.DictReader does
+        column = {name: i for i, name in enumerate(next(reader, []))}
+        missing = [c for c in REQUIRED_COLUMNS if c not in column]
         if missing:
             raise SchemaError(f"trajectory file missing columns: {missing}")
+        pick = itemgetter(*(column[c] for c in REQUIRED_COLUMNS))
+        rows_total = 0
         for raw in reader:
-            summary.rows_total += 1
-            row, reason = _parse_row(raw, env_cfg.n_lanes)
-            if row is None:
-                summary.reject(reason)
+            if not raw:
                 continue
-            history = per_vehicle.setdefault(row.vehicle, [])
-            if history and row.frame <= history[-1].frame:
+            rows_total += 1
+            try:
+                vehicle, frame, x, y, lane, v = pick(raw)
+                vehicle, frame, lane = int(vehicle), int(frame), int(lane)
+                float(x)
+                y, v = float(y), float(v)
+            except (IndexError, ValueError):
+                summary.reject("unparseable")
+                continue
+            if not (math.isfinite(y) and math.isfinite(v)):
+                summary.reject("non_finite")
+                continue
+            if v < 0:
+                summary.reject("negative_speed")
+                continue
+            if not 0 <= lane < n_lanes:
+                summary.reject("lane_out_of_range")
+                continue
+            history = per_vehicle.setdefault(vehicle, [])
+            if history and frame <= history[-1].frame:
                 summary.reject("non_increasing_frame")
                 continue
+            row = _Row(vehicle, frame, lane, y, v)
             history.append(row)
-            frames.setdefault(row.frame, []).append(row)
-            summary.rows_accepted += 1
+            frames.setdefault(frame, []).append(row)
+    summary.rows_total = rows_total
+    summary.rows_accepted = rows_total - summary.rows_rejected
+    # each frame is indexed once, when a transition first needs it; each state's id is
+    # found once
+    indexes: dict[int, _LaneIndex] = {}
+    state_ids: dict[EnvState, int] = {}
     records: dict[str, DriverRecord] = {}
-    seen_states: set[int] = set()
     for vehicle in sorted(per_vehicle):
         history = per_vehicle[vehicle]
-        record = DriverRecord(driver_id=str(vehicle), action_count=N_ACTIONS)
+        counts: dict[int, list[int]] = {}
         for first, second in zip(history, history[1:]):
             if second.frame - first.frame != 1:
                 continue
-            front_gap, rel, rear_left, rear_right = _features(
-                first, frames[first.frame], env_cfg
-            )
+            lanes = indexes.get(first.frame)
+            if lanes is None:
+                lanes = indexes[first.frame] = _lane_index(frames[first.frame])
+            front_gap, rel, rear_left, rear_right = _features(first, lanes, n_lanes, far)
             state = disc.discretize(
                 first.lane, front_gap, rel, rear_left, rear_right, first.v
             )
-            sid = disc.state_id(state)
-            record.add(sid, _label_action(first, second, data_cfg))
-            seen_states.add(sid)
+            sid = state_ids.get(state)
+            if sid is None:
+                sid = state_ids[state] = disc.state_id(state)
+            counts.setdefault(sid, [0] * N_ACTIONS)[_label_action(first, second, data_cfg)] += 1
             summary.n_transitions += 1
-        if record.counts:
-            records[record.driver_id] = record
+        if counts:
+            records[str(vehicle)] = DriverRecord(str(vehicle), N_ACTIONS, counts)
     summary.n_vehicles = len(per_vehicle)
-    summary.n_states = len(seen_states)
+    summary.n_states = len(state_ids)
     return records, summary
 
 

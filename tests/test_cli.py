@@ -19,10 +19,11 @@ from levelkgp.cli import (
     write_report,
 )
 from levelkgp.config import MasterConfig
+from levelkgp.data import export_trajectories
 from levelkgp.errors import ConfigurationError, InputError
 from levelkgp.fitting import DriverReport, FitResult
 from levelkgp.gp import ModelCache
-from levelkgp.levelk import N_ACTIONS, PolicySet, QTable
+from levelkgp.levelk import N_ACTIONS, Discretizer, EnvState, PolicySet, QTable
 
 DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
 
@@ -651,6 +652,23 @@ def test_ingest_without_input_reads_the_synthesis_manifest(smoke_config, tmp_pat
     original = smoke_config[1]
     for name in ("records.json", "ingest_summary.json"):
         assert (out / name).read_bytes() == (original / name).read_bytes()
+
+
+def test_ingest_summary_counts_the_distinct_states_of_all_files(tmp_path, capsys):
+    env = MasterConfig().env
+    disc = Discretizer(env)
+    sids = [disc.state_id(EnvState(1, gap, 1, 2, 2, 1)) for gap in range(4)]
+    manifest = {"drivers": []}
+    for driver_id, states in (("a", sids[:2]), ("b", sids[2:])):
+        export_trajectories({sid: [0, 1] for sid in states}, tmp_path / f"{driver_id}.csv", env)
+        manifest["drivers"].append(
+            {"driver_id": driver_id, "csv": f"{driver_id}.csv", "vehicle_id": 1}
+        )
+    (tmp_path / "synthesis_manifest.json").write_text(json.dumps(manifest))
+    assert main(["ingest", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "ingest_summary.json").read_text())
+    assert summary["n_states"] == 4  # two disjoint pairs: their sum, not the larger count
 
 
 def _truncate(path):
