@@ -22,7 +22,7 @@ from .config import (
 from .fitting import DriverRecord, DriverReport, FitResult, LevelFitter
 from .game import MixedStrategy, best_response_set, mixed_utility
 from .gp import LMCParams, ModelCache, Policy, PolicyPrediction, StateGP, fit_state_gp
-from .gp import lmc_covariance, shift_normalize
+from .gp import kron_factors, lmc_covariance, shift_normalize
 from .levelk import PolicySet, train_hierarchy
 
 __version__ = "0.1.0"
@@ -52,6 +52,7 @@ __all__ = [
     "SynthesisConfig",
     "best_response_set",
     "fit_state_gp",
+    "kron_factors",
     "lmc_covariance",
     "mixed_utility",
     "shift_normalize",

@@ -117,7 +117,8 @@ def empirical_policy(counts, floor: float = 0.01) -> Policy:
     arr = np.asarray(counts, dtype=float).ravel()
     if arr.size < 2:
         raise InputError("need counts for at least two actions")
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+    # min and max propagate NaN, so this passes only finite, non-negative counts
+    if not (arr.min() >= 0 and arr.max() < math.inf):
         raise InputError("counts must be non-negative and finite")
     total = arr.sum()
     if total <= 0:
@@ -389,8 +390,9 @@ class LevelFitter:
         data = empirical_policy(counts, self.fit_cfg.probability_floor)
         model = self.model_for(state_id)
 
-        def score(levels: list[float]) -> np.ndarray:
-            return score_policy(model.policies_at(levels), data, n_obs)
+        def score(levels: list[float]) -> list[float]:
+            # Python floats, exact, for the annealing's scalar arithmetic
+            return score_policy(model.policies_at(levels), data, n_obs).tolist()
 
         starts = self.sa_cfg.restart_levels
         rngs = [restart_rng(self.master_seed, driver_id, state_id, r) for r in range(len(starts))]

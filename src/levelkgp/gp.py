@@ -19,7 +19,9 @@ B_z = W_z W_z^T + diag(kappa_z) couples the outputs.  The bias entry is
 the entry with an infinite length scale, whose kernel is exactly 1.
 Blocks are laid out output-major: row index d*N + i refers to output d
 at input i.  ``lmc_covariance`` is the one routine that assembles
-Sigma, for the training objective and for the posterior alike.
+Sigma, for the training objective and for the posterior alike.  A
+model lays its variances and B_z out for it once (``kron_factors``),
+so a posterior query pays for its grams and products, not for layout.
 
 The bank is fixed in shape (one bias entry plus Matern-3/2 entries on a
 length-scale grid); only the variances and coregionalization weights
@@ -80,8 +82,9 @@ logger = logging.getLogger(__name__)
 LOG_2PI = math.log(2.0 * math.pi)
 SQRT3 = math.sqrt(3.0)
 # lmc_covariance forms at most this many Kronecker-term entries at once: the
-# whole bank for the objective's small stacks, one entry at a time for a long
-# query grid, whose bank-wide terms would take a megabyte
+# whole bank for the objective's small stacks and an annealing step's few
+# levels, one entry at a time for a long query grid, whose bank-wide terms
+# would take a megabyte
 KRON_BLOCK = 1 << 15
 
 
@@ -135,7 +138,7 @@ def shift_normalize(raw):
     v = np.asarray(raw, dtype=float)
     if v.ndim == 0 or v.size == 0 or v.shape[-1] < 2:
         raise InputError("need at least two entries to normalize")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InputError("cannot normalize non-finite values")
     shifted = v - np.minimum(v.min(axis=-1, keepdims=True), 0.0)
     total = shifted.sum(axis=-1, keepdims=True)
@@ -183,25 +186,37 @@ def unit_grams(x, y, length_scales) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     scales = np.asarray(length_scales, dtype=float).ravel()
-    s = SQRT3 * np.abs(x[:, None] - y[None, :]) / scales[:, None, None]
+    return _matern_grams(x[:, None] - y[None, :], scales[:, None, None])
+
+
+def _matern_grams(diff, scales) -> np.ndarray:
+    """``unit_grams`` of the differences diff (N, N') at scales (Z, 1, 1)."""
+    s = SQRT3 * np.abs(diff) / scales
     return (1.0 + s) * np.exp(-s)
+
+
+def kron_factors(variances, coregs) -> tuple[np.ndarray, np.ndarray]:
+    """The variances (Z,) and B_z (Z, D, D) of a bank, or of a stack of P
+    banks (Z, P) and (Z, P, D, D), laid out for ``lmc_covariance``'s
+    broadcast: (Z, ..., 1, 1, 1, 1) and (Z, ..., D, 1, D, 1)."""
+    return np.reshape(variances, np.shape(variances) + (1, 1, 1, 1)), coregs[..., :, None, :, None]
 
 
 def lmc_covariance(grams, variances, coregs, out: np.ndarray) -> np.ndarray:
     """Add sum_z var_z kron(B_z, k_z) into ``out`` in bank order and return it.
 
-    grams (Z, N, N'), variances (Z,) and coregs (Z, D, D) give out
-    (D*N, D*N').  A stack of P covariances takes variances (Z, P), coregs
-    (Z, P, D, D) and out (P, D*N, D*N').
+    grams (Z, N, N') with the ``kron_factors`` of one bank give out
+    (D*N, D*N'); those of a stack of P banks give out (P, D*N, D*N').
     """
+    if coregs.ndim < 5 or np.ndim(variances) != coregs.ndim:
+        raise InputError("lmc_covariance takes the variances and B_z laid out by kron_factors")
     z, rows, cols = grams.shape
-    gram = grams.reshape((z,) + (1,) * (coregs.ndim - 2) + (rows, 1, cols))
-    var = np.reshape(variances, np.shape(variances) + (1, 1, 1, 1))
+    gram = grams.reshape((z,) + (1,) * (coregs.ndim - 4) + (rows, 1, cols))
     step = max(1, KRON_BLOCK // out.size)
     for lo in range(0, z, step):
         # kron(B, k) as np.kron forms it: the products B[a, b] k[i, j] laid out (a, i, b, j)
-        terms = coregs[lo : lo + step, ..., :, None, :, None] * gram[lo : lo + step]
-        terms *= var[lo : lo + step]
+        terms = coregs[lo : lo + step] * gram[lo : lo + step]
+        terms *= variances[lo : lo + step]
         for term in terms.reshape((-1,) + out.shape):
             out += term
     return out
@@ -238,7 +253,8 @@ class LMCParams:
     entry, ``weights`` a tuple of W_z (D, R_z) and ``kappas`` (Z, D).
     Fits use R_z = D; model files may hold any width.
     Validated on construction, so model files are checked on load; the
-    B_z are built once, into ``coregs`` (Z, D, D).
+    B_z are built once, into ``coregs`` (Z, D, D), and laid out for
+    ``lmc_covariance`` once, into ``kron``.
     """
 
     variances: np.ndarray
@@ -246,6 +262,7 @@ class LMCParams:
     weights: tuple
     kappas: np.ndarray
     coregs: np.ndarray = field(init=False, repr=False)
+    kron: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         variances = np.asarray(self.variances, dtype=float).ravel()
@@ -271,13 +288,14 @@ class LMCParams:
         # B_z = W_z W_z^T + diag(kappa_z), PSD; built per entry as W_z may be narrow
         coregs = np.stack([w @ w.T + np.diag(k) for w, k in zip(weights, kappas)])
         object.__setattr__(self, "coregs", coregs)
+        object.__setattr__(self, "kron", kron_factors(variances, coregs))
 
     def covariance(self, x, y) -> np.ndarray:
         """Full cross-covariance Sigma(x, y), output-major."""
         grams = unit_grams(x, y, self.length_scales)
         dim = self.kappas.shape[1]
         out = np.zeros((dim * grams.shape[1], dim * grams.shape[2]))
-        return lmc_covariance(grams, self.variances, self.coregs, out)
+        return lmc_covariance(grams, *self.kron, out)
 
     @classmethod
     def from_theta(
@@ -388,7 +406,9 @@ def _neg_lml_and_grad(thetas, grams, target, dim, jitter):
     diag = np.arange(dim)
     coregs[..., diag, diag] += _softplus(raw_kappas)
     sigma = lmc_covariance(
-        grams, variances.T, coregs.swapaxes(0, 1), np.tile(jitter * np.eye(m), (problems, 1, 1))
+        grams,
+        *kron_factors(variances.T, coregs.swapaxes(0, 1)),
+        np.tile(jitter * np.eye(m), (problems, 1, 1)),
     )
     values = np.full(problems, 1e12)
     alphas = np.zeros((problems, m))
@@ -604,12 +624,20 @@ class StateGP:
         """Raw posterior means, one row per query level, shape (m, A); row i
         equals ``predict_mean([levels[i]])[0]`` bit for bit."""
         q = np.atleast_1d(np.asarray(levels, dtype=float)).ravel()
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise InputError("query levels must be finite")
-        star = self.params.covariance(q, self.levels)
-        coords = (star @ self._alpha).reshape(self.action_count - 1, q.size).T
-        # row by row: numpy takes gemv for one row and gemm for several, which round differently
-        return np.stack([self.prior_mean + (c[None, :] @ self.basis.T)[0] for c in coords])
+        dim = self.action_count - 1
+        scales = self.params.length_scales[:, None, None]
+        grams = _matern_grams(q[:, None] - self.levels[None, :], scales)
+        out = np.zeros((dim * q.size, dim * self.levels.size))
+        star = lmc_covariance(grams, *self.params.kron, out)
+        coords = (star @ self._alpha).reshape(dim, q.size).T
+        means = np.empty((q.size, self.action_count))
+        # a stack of one-row products: numpy takes gemv for one row and gemm for several
+        # rows, which round differently, so each row is one query's gemv
+        np.matmul(coords[:, None, :], self.basis.T, out=means[:, None, :])
+        means += self.prior_mean
+        return means
 
     def predict(self, level: float) -> PolicyPrediction:
         """Posterior mean and covariance of the action probabilities."""

@@ -1,15 +1,16 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import kolmogorov
 from scipy.stats import kstwobign
 
-from conftest import random_policies, shift_normalize_row
-from levelkgp import fitting
+from conftest import kron_covariance, random_policies, shift_normalize_row
+from levelkgp import fitting, gp
 from levelkgp.config import OptimizerConfig, SAConfig
 from levelkgp.errors import InputError, SchemaError
 from levelkgp.fitting import (
@@ -29,7 +30,7 @@ from levelkgp.fitting import (
     save_reports,
     score_policy,
 )
-from levelkgp.gp import ModelCache, Policy
+from levelkgp.gp import ModelCache, Policy, StateGP, unit_grams
 
 # -- observed counts ------------------------------------------------------------
 
@@ -94,6 +95,13 @@ def test_empirical_policy_rejects_bad_counts():
         empirical_policy([3, -1])
     with pytest.raises(InputError):
         empirical_policy([np.nan, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+def test_empirical_policy_rejects_non_finite_and_negative_counts(bad):
+    for counts in ([bad, 1.0, 2.0], [1.0, 2.0, bad]):
+        with pytest.raises(InputError, match="counts must be non-negative and finite"):
+            empirical_policy(counts)
 
 
 # -- Kolmogorov-Smirnov pieces -------------------------------------------------------
@@ -424,6 +432,41 @@ def _policy_oracle(model, level):
     return shift_normalize_row(model.predict_mean([level])[0])
 
 
+def _mean_oracle(model, levels):
+    """The posterior means as the row-list code formed them: the np.kron loop's
+    cross-covariance, then one gemv per row plus the prior, stacked."""
+    dim = model.action_count - 1
+    grams = unit_grams(levels, model.levels, model.params.length_scales)
+    zeros = np.zeros((dim * len(levels), dim * model.levels.size))
+    star = kron_covariance(grams, model.params.variances, model.params.coregs, zeros)
+    coords = (star @ model._alpha).reshape(dim, len(levels)).T
+    return np.stack([model.prior_mean + (c[None, :] @ model.basis.T)[0] for c in coords])
+
+
+@given(
+    state_id=st.sampled_from((1, 3, 6)),
+    size=st.integers(min_value=1, max_value=400),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# one Kronecker block up to 73 levels here; 74, 171 and 400 levels take 2, 4 and 7 blocks
+@example(state_id=3, size=74, seed=1)
+@example(state_id=3, size=171, seed=2)
+@example(state_id=6, size=400, seed=3)
+def test_predict_mean_rows_equal_one_level_queries(fitter, state_id, size, seed):
+    model = fitter.model_for(state_id)
+    rng = np.random.default_rng(seed)
+    levels = rng.uniform(0.0, 3.0, size=size)
+    # the annealing's clamped levels
+    levels[rng.random(size) < 0.2] = 0.0
+    levels[rng.random(size) < 0.2] = 3.0
+    means = model.predict_mean(levels)
+    assert np.array_equal(means, _mean_oracle(model, levels))
+    for level, row in zip(levels, means):
+        assert np.array_equal(row, model.predict_mean([level])[0])
+    out_size = (model.action_count - 1) ** 2 * size * model.levels.size
+    assert (gp.KRON_BLOCK // out_size < model.params.variances.size) == (size > 73)
+
+
 @pytest.mark.parametrize("state_id", range(8))
 def test_policies_at_rows_equal_policy_at(fitter, state_id):
     model = fitter.model_for(state_id)
@@ -503,6 +546,42 @@ def test_fit_state_recovers_planted_level(fitter):
     )
     assert abs(grid_level - 1.25) <= 0.15
     assert abs(result.level - 1.25) <= 0.25
+
+
+GOLDEN_RECORDS = (
+    DriverRecord("driver-g1", 5, {1: [30, 5, 5, 2, 1], 3: [1, 1, 40, 3, 9], 6: [8, 8, 8, 8, 8]}),
+    DriverRecord("driver-g2", 5, {1: [3, 20, 7, 0, 12], 6: [50, 2, 0, 1, 4], 7: [2, 2, 2, 2, 2]}),
+)
+LEVEL_FIT_GOLDEN_SHA256 = "c442a711d96d47fb9b9afed3a493cd8e4ce68fa8632c69cd51338e07a4fec005"
+
+
+def test_level_fit_golden_digest():
+    """Pins the bits of both methods' fits: the annealing's levels and crits
+    and the discrete crits, on models fitted from fixed policies."""
+    fitter = LevelFitter(_builder, optimizer=FAST_OPT, master_seed=11)
+    reports = [fitter.compare_driver(record) for record in GOLDEN_RECORDS]
+    reports += [fitter.compare_driver_discrete(record) for record in GOLDEN_RECORDS]
+    doc = json.dumps([report.to_dict() for report in reports], sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == LEVEL_FIT_GOLDEN_SHA256
+
+
+def test_fit_state_queries_the_gp_once_per_annealing_step(fitter, monkeypatch):
+    """A fit queries its model through policies_at, and so predict_mean, once
+    for the starts and once per step, and never through policy_at.
+    perfbench's traced layers time these methods, and a layer left without
+    samples fails its percentiles."""
+    counts = _counts_at(fitter, 3, 1.4)
+    calls = {"policies_at": 0, "predict_mean": 0, "policy_at": 0}
+    for name in calls:
+
+        def counted(self, *args, _name=name, _real=getattr(StateGP, name)):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(StateGP, name, counted)
+    fitter.fit_state("driver-q", 3, counts)
+    steps = fitter.sa_cfg.max_steps + 1
+    assert calls == {"policies_at": steps, "predict_mean": steps, "policy_at": 0}
 
 
 def test_fit_state_is_deterministic(fitter):

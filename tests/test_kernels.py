@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from levelkgp import gp
 from levelkgp.config import default_bank_entries
-from levelkgp.errors import ConfigurationError, NumericalError, ParameterError
+from levelkgp.errors import ConfigurationError, InputError, NumericalError, ParameterError
 from levelkgp.gp import (
     LMCParams,
     _initial_theta,
@@ -201,8 +201,22 @@ def test_covariance_matches_kron_loop_bit_for_bit(dim, n_queries, seed):
     grams = unit_grams(LEVELS, LEVELS, params.length_scales)
     variances = [float(v) for v in params.variances]
     start = 1e-6 * np.eye(dim * LEVELS.size)
-    got = gp.lmc_covariance(grams, variances, params.coregs, start.copy())
+    got = gp.lmc_covariance(grams, *gp.kron_factors(variances, params.coregs), start.copy())
     assert np.array_equal(got, kron_covariance(grams, variances, params.coregs, start.copy()))
+
+
+def test_lmc_covariance_rejects_factors_not_laid_out():
+    """The plain (Z,) variances and (Z, D, D) B_z are refused, not broadcast."""
+    entries = default_bank_entries()
+    theta = _initial_theta(len(entries), 2, np.random.default_rng(0), perturb=True)
+    params = LMCParams.from_theta(theta, entries, 2)
+    grams = unit_grams(LEVELS, LEVELS, params.length_scales)
+    var, coreg = gp.kron_factors(params.variances, params.coregs)
+    out = np.zeros((2 * LEVELS.size, 2 * LEVELS.size))
+    for factors in ((params.variances, params.coregs), (params.variances, coreg)):
+        with pytest.raises(InputError):
+            gp.lmc_covariance(grams, *factors, out)
+    assert np.array_equal(gp.lmc_covariance(grams, var, coreg, out), params.covariance(LEVELS, LEVELS))
 
 
 def test_objective_covariance_matches_params_covariance(rng, monkeypatch):
